@@ -26,8 +26,7 @@
 namespace pfci {
 namespace {
 
-// Bench runs go through the Mine() front door (the free-function wrappers
-// are deprecated).
+// Bench runs go through the Mine() front door.
 MiningResult MineMpfciViaRequest(const UncertainDatabase& db,
                                  const MiningParams& params) {
   MiningRequest request;

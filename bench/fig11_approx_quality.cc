@@ -46,8 +46,7 @@ MiningParams SamplingParams(const UncertainDatabase& db, double rel,
 
 constexpr int kRepetitions = 3;
 
-// Bench runs go through the Mine() front door (the free-function wrappers
-// are deprecated).
+// Bench runs go through the Mine() front door.
 MiningResult MineMpfciViaRequest(const UncertainDatabase& db,
                                  const MiningParams& params) {
   MiningRequest request;

@@ -1,10 +1,11 @@
 // Serving-layer amortization: one MiningSession answering a 10-threshold
 // min_sup sweep versus ten independent cold Mine() calls (DESIGN.md §11).
 //
-// The warm path opens the session once (index built once) and calls
-// MineSweep, which runs the lowest threshold first with Poisson-binomial
-// tail tables extended to the sweep maximum — the higher thresholds are
-// then answered from the stored tables without re-running the DP.
+// The warm path opens the session once (index built once) and serves the
+// per-threshold requests as one MineBatch, which runs the lowest threshold
+// first with Poisson-binomial tail tables extended to the sweep maximum —
+// the higher thresholds are then answered from the stored tables without
+// re-running the DP.
 //
 // Two workloads on the paper's synthetic Quest dataset: the flagship
 // MPFCI miner (PrF plus closedness work; the latter is per-run by design,
@@ -100,28 +101,28 @@ WorkloadRecord RunWorkload(const UncertainDatabase& db, Algorithm algorithm,
               workload.algorithm.c_str(), grid.size(), grid.front(),
               grid.back());
 
-  MiningRequest request;
-  request.algorithm = algorithm;
-  request.params.pfct = 0.8;
-  request.sweep_min_sup = grid;
+  // One request per threshold; cold and warm serve the same list.
+  std::vector<MiningRequest> steps(grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    steps[i].algorithm = algorithm;
+    steps[i].params.pfct = 0.8;
+    steps[i].params.min_sup = grid[i];
+  }
 
   // Cold: an independent Mine() per threshold — index rebuilt and every
   // PrF re-derived each time.
   std::vector<MiningResult> cold(grid.size());
   const double cold_begin = Now();
   for (std::size_t i = 0; i < grid.size(); ++i) {
-    MiningRequest step = request;
-    step.sweep_min_sup.clear();
-    step.params.min_sup = grid[i];
-    cold[i] = Mine(db, step);
+    cold[i] = Mine(db, steps[i]);
   }
   workload.cold_seconds = Now() - cold_begin;
 
-  // Warm: one session, one sweep. Open() is included — the index build
+  // Warm: one session, one batch. Open() is included — the index build
   // is part of the amortized cost.
   const double warm_begin = Now();
   MiningSession session = MiningSession::Open(db);
-  const std::vector<MiningResult> warm = session.MineSweep(request);
+  const std::vector<MiningResult> warm = session.MineBatch(steps);
   workload.warm_seconds = Now() - warm_begin;
 
   TablePrinter table;

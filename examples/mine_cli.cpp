@@ -150,6 +150,7 @@ int main(int argc, char** argv) {
   std::string csv_path;
   std::string trace_path;
   SessionOptions session_options;
+  std::vector<std::size_t> sweep_thresholds;  // --sweep thresholds.
 
   // --request is applied before the positional/flag pass so everything
   // explicit on the command line overrides the file's fields.
@@ -237,7 +238,7 @@ int main(int argc, char** argv) {
       } else if (ParseFlag(argv[position], "--request", &value)) {
         // Already applied in the pre-pass (so later flags override it).
       } else if (ParseFlag(argv[position], "--sweep", &value)) {
-        const int sweep_error = ParseSweep(value, &request.sweep_min_sup);
+        const int sweep_error = ParseSweep(value, &sweep_thresholds);
         if (sweep_error != 0) return sweep_error;
       } else if (ParseFlag(argv[position], "--threads", &value)) {
         unsigned int threads = 0;
@@ -359,18 +360,21 @@ int main(int argc, char** argv) {
               AlgorithmName(request.algorithm), request.params.min_sup,
               request.params.pfct, threads_label.c_str());
 
-  if (!request.sweep_min_sup.empty()) {
-    // Threshold sweep: one warm MiningSession serves every min_sup, so
-    // the index and DP tail tables are paid for once.
+  if (!sweep_thresholds.empty()) {
+    // Threshold sweep: one request per min_sup, served as one batch by a
+    // warm MiningSession, so the index and DP tail tables are paid for
+    // once (the batch runs the lowest threshold first).
+    std::vector<MiningRequest> steps(sweep_thresholds.size(), request);
+    for (std::size_t i = 0; i < steps.size(); ++i) {
+      steps[i].params.min_sup = sweep_thresholds[i];
+    }
     MiningSession session = MiningSession::Open(db, session_options);
-    const std::vector<MiningResult> sweep = session.MineSweep(request);
+    const std::vector<MiningResult> sweep = session.MineBatch(steps);
     int exit_code = 0;
     for (std::size_t i = 0; i < sweep.size(); ++i) {
       const MiningResult& result = sweep[i];
-      if (i < request.sweep_min_sup.size()) {
-        std::printf("\nmin_sup=%zu: %zu itemsets\n",
-                    request.sweep_min_sup[i], result.itemsets.size());
-      }
+      std::printf("\nmin_sup=%zu: %zu itemsets\n", sweep_thresholds[i],
+                  result.itemsets.size());
       if (!result.ok()) {
         std::fprintf(stderr, "run did not complete (%s): %s\n",
                      OutcomeName(result.outcome()),

@@ -63,13 +63,6 @@ std::vector<FcpGroundTruth> BruteForceMinePfci(
     const ExecutionContext& exec = ExecutionContext{});
 }  // namespace internal
 
-[[deprecated("use Mine() with Algorithm::kBruteForce")]]
-inline std::vector<FcpGroundTruth> BruteForceMinePfci(
-    const UncertainDatabase& db, std::size_t min_sup, double pfct,
-    const ExecutionContext& exec = ExecutionContext{}) {
-  return internal::BruteForceMinePfci(db, min_sup, pfct, exec);
-}
-
 }  // namespace pfci
 
 #endif  // PFCI_CORE_BRUTE_FORCE_H_

@@ -4,7 +4,7 @@
 // run must be bit-reproducible across thread counts); the runtime state a
 // miner actually carries around lives in ExecutionContext (a pool to run
 // on, a progress sink to report into). Mine() translates the former into
-// the latter; the compatibility wrappers build a default context.
+// the latter; kernels called directly default to a sequential context.
 #ifndef PFCI_CORE_EXECUTION_H_
 #define PFCI_CORE_EXECUTION_H_
 

@@ -57,12 +57,6 @@ std::vector<ExpectedSupportEntry> MineExpectedSupportFpGrowth(
     const UncertainDatabase& db, double min_esup);
 }  // namespace internal
 
-[[deprecated("use Mine() with Algorithm::kExpectedSupportFpGrowth")]]
-inline std::vector<ExpectedSupportEntry> MineExpectedSupportFpGrowth(
-    const UncertainDatabase& db, double min_esup) {
-  return internal::MineExpectedSupportFpGrowth(db, min_esup);
-}
-
 }  // namespace pfci
 
 #endif  // PFCI_CORE_EXPECTED_SUPPORT_MINER_H_

@@ -42,18 +42,6 @@ std::vector<ItemPfiEntry> MinePfiItemLevel(const ItemUncertainDatabase& db,
                                            std::size_t min_sup, double pft);
 }  // namespace internal
 
-[[deprecated("use Mine() with Algorithm::kItemExpectedSupport")]]
-inline std::vector<ExpectedSupportEntry> MineExpectedSupportItemLevel(
-    const ItemUncertainDatabase& db, double min_esup) {
-  return internal::MineExpectedSupportItemLevel(db, min_esup);
-}
-
-[[deprecated("use Mine() with Algorithm::kItemPfi")]]
-inline std::vector<ItemPfiEntry> MinePfiItemLevel(
-    const ItemUncertainDatabase& db, std::size_t min_sup, double pft) {
-  return internal::MinePfiItemLevel(db, min_sup, pft);
-}
-
 }  // namespace pfci
 
 #endif  // PFCI_CORE_ITEM_UNCERTAIN_MINERS_H_

@@ -4,15 +4,13 @@
 #include <memory>
 #include <utility>
 
-#include "src/core/bfs_miner.h"
 #include "src/core/brute_force.h"
 #include "src/core/expected_support_miner.h"
 #include "src/core/item_uncertain_miners.h"
-#include "src/core/mpfci_miner.h"
-#include "src/core/naive_miner.h"
 #include "src/core/pfi_miner.h"
+#include "src/core/search/frontier_policies.h"
 #include "src/core/search/run_snapshot.h"
-#include "src/core/topk_miner.h"
+#include "src/core/search/search_driver.h"
 #include "src/data/item_uncertain_database.h"
 #include "src/data/world_enumerator.h"
 #include "src/util/retry.h"
@@ -119,26 +117,28 @@ void StampOutcome(MiningResult* result, const RunController* runtime) {
   result->stats.truncated = runtime->truncated();
 }
 
-/// PFI mining through the unified interface: entries carry pr_f, fcp 0.
-MiningResult RunPfi(const UncertainDatabase& db, const MiningRequest& request,
-                    const ExecutionContext& exec) {
+/// A frequent (not closedness-checked) itemset as a result entry: the
+/// measure (PrF or expected support) is reported in pr_f, fcp is 0.
+PfciEntry FrequentEntry(const Itemset& items, double measure) {
+  PfciEntry entry;
+  entry.items = items;
+  entry.pr_f = measure;
+  entry.fcp = 0.0;
+  entry.fcp_upper = measure;
+  return entry;
+}
+
+/// The shared skeleton of the algorithms that do not run a frontier
+/// policy: `search` fills result.itemsets (and any stats) inside the
+/// "search" span; progress, the "merge" span + Sort, outcome stamping,
+/// timing, and the merged counters follow in that order.
+template <typename SearchFn>
+MiningResult RunFlat(const ExecutionContext& exec, SearchFn&& search) {
   Stopwatch timer;
   MiningResult result;
   {
     TraceSpan span(exec.trace, "search", &result.stats.search_seconds);
-    const std::vector<PfiEntry> pfis =
-        MinePfi(db, request.params.min_sup, request.params.pfct,
-                request.params.pruning.chernoff, &result.stats,
-                TidSetPolicyFor(request.params), exec.runtime, &exec);
-    result.itemsets.reserve(pfis.size());
-    for (const PfiEntry& pfi : pfis) {
-      PfciEntry entry;
-      entry.items = pfi.items;
-      entry.pr_f = pfi.pr_f;
-      entry.fcp = 0.0;
-      entry.fcp_upper = pfi.pr_f;
-      result.itemsets.push_back(std::move(entry));
-    }
+    search(result);
   }
   if (exec.progress != nullptr) {
     exec.progress->AddItemsets(result.itemsets.size());
@@ -153,18 +153,30 @@ MiningResult RunPfi(const UncertainDatabase& db, const MiningRequest& request,
   return result;
 }
 
-/// Expected-support mining through the unified interface: the expected
-/// support is reported in the pr_f field, fcp is 0. `fp_growth` selects
-/// the weighted FP-growth baseline (same answer, no fail-soft hooks).
+/// PFI mining: entries carry pr_f, fcp 0.
+MiningResult RunPfi(const UncertainDatabase& db, const MiningRequest& request,
+                    const ExecutionContext& exec) {
+  return RunFlat(exec, [&](MiningResult& result) {
+    const std::vector<PfiEntry> pfis =
+        MinePfi(db, request.params.min_sup, request.params.pfct,
+                request.params.pruning.chernoff, &result.stats,
+                TidSetPolicyFor(request.params), exec.runtime, &exec);
+    result.itemsets.reserve(pfis.size());
+    for (const PfiEntry& pfi : pfis) {
+      result.itemsets.push_back(FrequentEntry(pfi.items, pfi.pr_f));
+    }
+  });
+}
+
+/// Expected-support mining: the expected support is reported in the pr_f
+/// field, fcp is 0. `fp_growth` selects the weighted FP-growth baseline
+/// (same answer, no fail-soft hooks).
 MiningResult RunExpectedSupport(const UncertainDatabase& db,
                                 const MiningRequest& request,
                                 const ExecutionContext& exec,
                                 bool fp_growth) {
-  Stopwatch timer;
-  MiningResult result;
   const double min_esup = EffectiveMinEsup(request);
-  {
-    TraceSpan span(exec.trace, "search", &result.stats.search_seconds);
+  return RunFlat(exec, [&](MiningResult& result) {
     const std::vector<ExpectedSupportEntry> entries =
         fp_growth ? internal::MineExpectedSupportFpGrowth(db, min_esup)
                   : MineExpectedSupport(db, min_esup, &result.stats,
@@ -173,36 +185,18 @@ MiningResult RunExpectedSupport(const UncertainDatabase& db,
                                         &exec);
     result.itemsets.reserve(entries.size());
     for (const ExpectedSupportEntry& in : entries) {
-      PfciEntry entry;
-      entry.items = in.items;
-      entry.pr_f = in.expected_support;
-      entry.fcp = 0.0;
-      entry.fcp_upper = in.expected_support;
-      result.itemsets.push_back(std::move(entry));
+      result.itemsets.push_back(
+          FrequentEntry(in.items, in.expected_support));
     }
-  }
-  if (exec.progress != nullptr) {
-    exec.progress->AddItemsets(result.itemsets.size());
-  }
-  {
-    TraceSpan span(exec.trace, "merge", &result.stats.merge_seconds);
-    result.Sort();
-  }
-  StampOutcome(&result, exec.runtime);
-  result.stats.seconds = timer.ElapsedSeconds();
-  result.stats.EmitTrace(exec.trace);
-  return result;
+  });
 }
 
-/// Possible-world oracle through the unified interface: exact PrFC in
-/// the fcp field. The caller already rejected oversized databases.
+/// Possible-world oracle: exact PrFC in the fcp field. The caller already
+/// rejected oversized databases.
 MiningResult RunBruteForce(const UncertainDatabase& db,
                            const MiningRequest& request,
                            const ExecutionContext& exec) {
-  Stopwatch timer;
-  MiningResult result;
-  {
-    TraceSpan span(exec.trace, "search", &result.stats.search_seconds);
+  return RunFlat(exec, [&](MiningResult& result) {
     const std::vector<FcpGroundTruth> truths = internal::BruteForceMinePfci(
         db, request.params.min_sup, request.params.pfct, exec);
     result.itemsets.reserve(truths.size());
@@ -215,18 +209,7 @@ MiningResult RunBruteForce(const UncertainDatabase& db,
       entry.method = FcpMethod::kExact;
       result.itemsets.push_back(std::move(entry));
     }
-  }
-  if (exec.progress != nullptr) {
-    exec.progress->AddItemsets(result.itemsets.size());
-  }
-  {
-    TraceSpan span(exec.trace, "merge", &result.stats.merge_seconds);
-    result.Sort();
-  }
-  StampOutcome(&result, exec.runtime);
-  result.stats.seconds = timer.ElapsedSeconds();
-  result.stats.EmitTrace(exec.trace);
-  return result;
+  });
 }
 
 /// Flushes the run's sinks on every exit path (including invalid
@@ -257,11 +240,6 @@ MiningResult MineImpl(const UncertainDatabase& db,
         std::string("algorithm ") + AlgorithmName(request.algorithm) +
         " mines an ItemUncertainDatabase; use the item-level Mine() "
         "overload");
-  }
-  if (!request.sweep_min_sup.empty()) {
-    return InvalidRequestResult(
-        "sweep_min_sup is served by MiningSession::MineSweep; single-shot "
-        "Mine() requires it empty");
   }
   if (request.algorithm == Algorithm::kBruteForce &&
       db.size() > kMaxEnumerableTransactions) {
@@ -354,18 +332,26 @@ MiningResult MineImpl(const UncertainDatabase& db,
   TraceRunBegin(exec.trace, AlgorithmName(request.algorithm));
   MiningResult result;
   switch (request.algorithm) {
-    case Algorithm::kMpfci:
-      result = MineMpfci(db, request.params, exec);
+    case Algorithm::kMpfci: {
+      WorkStealingDfsFrontier frontier;
+      result = RunSearch(db, request.params, exec, frontier);
       break;
-    case Algorithm::kMpfciBfs:
-      result = MineMpfciBfs(db, request.params, exec);
+    }
+    case Algorithm::kMpfciBfs: {
+      LevelSyncBfsFrontier frontier;
+      result = RunSearch(db, request.params, exec, frontier);
       break;
-    case Algorithm::kNaive:
-      result = MineNaive(db, request.params, exec);
+    }
+    case Algorithm::kNaive: {
+      FlatCheckFrontier frontier;
+      result = RunSearch(db, request.params, exec, frontier);
       break;
-    case Algorithm::kTopK:
-      result = MineTopKPfci(db, request.params, request.top_k, exec);
+    }
+    case Algorithm::kTopK: {
+      TopKFrontier frontier(request.top_k);
+      result = RunSearch(db, request.params, exec, frontier);
       break;
+    }
     case Algorithm::kPfi:
       result = RunPfi(db, request, exec);
       break;
@@ -459,6 +445,10 @@ std::string ValidateRequest(const MiningRequest& request) {
                        "stay 0 for algorithm ") +
            AlgorithmName(request.algorithm);
   }
+  if (request.execution.num_threads > kMaxNumThreads) {
+    return "execution.num_threads must be <= " +
+           std::to_string(kMaxNumThreads) + " (0 = all hardware threads)";
+  }
   if (request.min_esup < 0.0) {
     return "min_esup must be >= 0";
   }
@@ -467,14 +457,6 @@ std::string ValidateRequest(const MiningRequest& request) {
                        "algorithms (esup, esup-fp, item-esup); it must "
                        "stay 0 for algorithm ") +
            AlgorithmName(request.algorithm);
-  }
-  for (std::size_t i = 0; i < request.sweep_min_sup.size(); ++i) {
-    if (request.sweep_min_sup[i] < 1) {
-      return "sweep_min_sup values must be >= 1";
-    }
-    if (i > 0 && request.sweep_min_sup[i] <= request.sweep_min_sup[i - 1]) {
-      return "sweep_min_sup must be strictly increasing";
-    }
   }
   if (request.progress && request.progress_interval < 1) {
     return "progress_interval must be >= 1";
@@ -519,11 +501,6 @@ MiningResult Mine(const ItemUncertainDatabase& db,
         "snapshot save/resume applies to the tuple-level Mine() overload "
         "only");
   }
-  if (!request.sweep_min_sup.empty()) {
-    return InvalidRequestResult(
-        "sweep_min_sup is served by MiningSession::MineSweep; single-shot "
-        "Mine() requires it empty");
-  }
 
   FlushOnExit flusher{request.trace, nullptr};
   TraceRunBegin(request.trace, AlgorithmName(request.algorithm));
@@ -534,24 +511,15 @@ MiningResult Mine(const ItemUncertainDatabase& db,
         internal::MineExpectedSupportItemLevel(db, EffectiveMinEsup(request));
     result.itemsets.reserve(entries.size());
     for (const ExpectedSupportEntry& in : entries) {
-      PfciEntry entry;
-      entry.items = in.items;
-      entry.pr_f = in.expected_support;
-      entry.fcp = 0.0;
-      entry.fcp_upper = in.expected_support;
-      result.itemsets.push_back(std::move(entry));
+      result.itemsets.push_back(
+          FrequentEntry(in.items, in.expected_support));
     }
   } else {
     const std::vector<ItemPfiEntry> entries = internal::MinePfiItemLevel(
         db, request.params.min_sup, request.params.pfct);
     result.itemsets.reserve(entries.size());
     for (const ItemPfiEntry& in : entries) {
-      PfciEntry entry;
-      entry.items = in.items;
-      entry.pr_f = in.pr_f;
-      entry.fcp = 0.0;
-      entry.fcp_upper = in.pr_f;
-      result.itemsets.push_back(std::move(entry));
+      result.itemsets.push_back(FrequentEntry(in.items, in.pr_f));
     }
   }
   result.Sort();

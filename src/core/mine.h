@@ -1,15 +1,13 @@
 // Unified mining entry point: pfci::Mine(db, MiningRequest).
 //
-// One dispatch replaces the historical per-algorithm free functions: a
-// MiningRequest bundles the problem parameters (MiningParams), the
-// algorithm to run, the execution policy (thread count, determinism), and
-// an optional progress observer. The free functions (MineMpfci,
-// MineMpfciBfs, MineNaive, MineTopKPfci, ...) remain as thin wrappers
-// over the same implementations, so existing call sites keep compiling;
-// the stragglers that predated the unified API
-// (MineExpectedSupportFpGrowth, BruteForceMinePfci, and the item-level
-// miners) are reachable as algorithms here and their free functions are
-// deprecated.
+// The one way into every miner (MiningSession builds on the same
+// primitive, MineWithBindings): a MiningRequest bundles the problem
+// parameters (MiningParams), the algorithm to run, the execution policy
+// (thread count, determinism), and an optional progress observer. Mine()
+// dispatches the paper's searches (MPFCI, MPFCI-BFS, Naive, top-k)
+// straight to their frontier policies behind RunSearch
+// (src/core/search/), and the flat miners (PFI, expected support,
+// brute force, item-level) through one shared run skeleton.
 //
 // Determinism contract: with execution.deterministic == true (default),
 // Mine() produces bit-identical MiningResult.itemsets — including sampled
@@ -22,16 +20,14 @@
 //   -----              ----------                 ----
 //   params             all                        ValidateParams(params)
 //   algorithm          all                        any Algorithm value
-//   execution          all                        num_threads >= 0
+//   execution          all                        num_threads <=
+//                                                 kMaxNumThreads (0 =
+//                                                 all hardware threads)
 //   top_k              kTopK only                 >= 1 for kTopK; must be
 //                                                 0 for everything else
 //   min_esup           kExpectedSupport,          >= 0; 0 defaults to
 //                      kExpectedSupportFpGrowth,  params.min_sup; must be
 //                      kItemExpectedSupport       0 for other algorithms
-//   sweep_min_sup      MiningSession::MineSweep   strictly increasing,
-//                                                 values >= 1; must be
-//                                                 empty for single-shot
-//                                                 Mine()
 //   progress*          all                        interval >= 1
 //   budget             all                        see RunBudget
 //   cancel / trace     all                        optional, caller-owned
@@ -143,11 +139,6 @@ struct MiningRequest {
   /// to params.min_sup. Must stay 0 for the other algorithms.
   double min_esup = 0.0;
 
-  /// min_sup thresholds for MiningSession::MineSweep (strictly
-  /// increasing). Single-shot Mine() requires this empty; a sweep needs
-  /// the session's caches to be worth anything.
-  std::vector<std::size_t> sweep_min_sup;
-
   /// Optional observer for long runs; invoked at most once per
   /// `progress_interval` search nodes (from any thread, never
   /// concurrently), plus once with the final counts.
@@ -175,6 +166,11 @@ struct MiningRequest {
   SnapshotPolicy snapshot;
 };
 
+/// Upper bound on ExecutionPolicy::num_threads accepted by
+/// ValidateRequest: each thread is a real pool worker, so a larger count
+/// is a malformed request, not a wish for more parallelism.
+inline constexpr std::size_t kMaxNumThreads = 1024;
+
 /// Checks `request` (including its params, budget, and the cross-field
 /// rules in the schema table above); empty string when valid. Error
 /// messages name the offending field.
@@ -184,8 +180,7 @@ std::string ValidateRequest(const MiningRequest& request);
 /// do NOT abort: Mine() returns an empty result with outcome
 /// kInvalidRequest and the ValidateRequest() message in status_message
 /// (the API boundary reports errors as data; PFCI_CHECK stays for
-/// internal invariants only). The per-algorithm wrapper functions keep
-/// their historical CHECK-on-invalid behavior.
+/// internal invariants only).
 MiningResult Mine(const UncertainDatabase& db, const MiningRequest& request);
 
 /// Item-level uncertainty entry point: serves kItemExpectedSupport and

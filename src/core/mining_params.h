@@ -63,9 +63,9 @@ inline TidSetPolicy TidSetPolicyFor(const MiningParams& params) {
 }
 
 /// Checks every field of `params`; returns an empty string when valid and
-/// a descriptive error otherwise. Mine() and the free-function wrappers
-/// all funnel through this, so invalid usage fails with the same message
-/// everywhere.
+/// a descriptive error otherwise. ValidateRequest (and so Mine() and
+/// every MiningSession entry point) funnels through this, so invalid
+/// usage fails with the same message everywhere.
 std::string ValidateParams(const MiningParams& params);
 
 }  // namespace pfci

@@ -11,9 +11,9 @@
 //
 // The wire covers the deterministic request surface: algorithm, every
 // MiningParams field, top_k, min_esup, and num_threads. Runtime-only
-// fields (progress sinks, cancel tokens, budgets, snapshots, sweep
-// grids) are deliberately not serialized — a wire request is a
-// repeatable experiment, not a captured execution.
+// fields (progress sinks, cancel tokens, budgets, snapshots) are
+// deliberately not serialized — a wire request is a repeatable
+// experiment, not a captured execution.
 #ifndef PFCI_CORE_REQUEST_IO_H_
 #define PFCI_CORE_REQUEST_IO_H_
 

@@ -10,8 +10,8 @@
 // cheapest executed ascending with every freshly computed table extended
 // to the ladder's top — the lowest-threshold run prefills answers for
 // all the others. PlanThresholdLadder encodes exactly that rule; the
-// serving layer's BatchPlanner and MineSweep both delegate to it so the
-// "which member pays for the DP work" decision lives in one place.
+// serving layer's BatchPlanner delegates to it so the "which member pays
+// for the DP work" decision lives in one place.
 #ifndef PFCI_CORE_SEARCH_THRESHOLD_LADDER_H_
 #define PFCI_CORE_SEARCH_THRESHOLD_LADDER_H_
 

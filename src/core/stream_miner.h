@@ -55,8 +55,7 @@ class StreamingPfciMiner {
   /// As above with a request template: budget, cancel token, trace sink,
   /// execution policy, and algorithm choice are honored, making windowed
   /// mining fail-soft like any other Mine() call. The template's params
-  /// are replaced by the stream's own (with the per-call seed advance);
-  /// sweep_min_sup must stay empty.
+  /// are replaced by the stream's own (with the per-call seed advance).
   MiningResult MineWindow(const MiningRequest& request);
 
  private:

@@ -21,18 +21,18 @@
 //   pfci::MiningResult result = pfci::Mine(db, request);
 //
 // Entry points by task:
-//  * Mining:     Mine (unified dispatch over Algorithm + ExecutionPolicy,
-//                recommended); the per-algorithm free functions MineMpfci,
-//                MineMpfciBfs, MineNaive, MineTopKPfci, MinePfi /
-//                MinePfiApproximate, MineExpectedSupport, MinePsupClosed
-//                remain as thin wrappers.
+//  * Mining:     Mine (the one way in: unified dispatch over Algorithm +
+//                ExecutionPolicy). The building-block kernels MinePfi /
+//                MinePfiApproximate, MineExpectedSupport and
+//                MinePsupClosed stay callable on their own.
 //  * Serving:    MiningSession (repeated requests over one database:
-//                shared index, cross-request evaluation caches, threshold
-//                sweeps via MineSweep; DESIGN.md §11).
+//                shared index, cross-request evaluation caches, batches
+//                and threshold sweeps via MineBatch; DESIGN.md §11).
 //  * Per-itemset probabilities: FcpEngine, FrequentProbability,
 //                ExactClosedProbability / ApproxClosedProbability.
-//  * Oracles:    BruteForceItemsetProbabilities, BruteForceMinePfci
-//                (possible-world enumeration, small inputs).
+//  * Oracles:    BruteForceItemsetProbabilities, BruteForceAllFcp
+//                (possible-world enumeration, small inputs; the PFCI
+//                oracle itself is Mine() with Algorithm::kBruteForce).
 //  * Exact data: FpGrowth, MineClosedItemsets, CharmMineClosedItemsets,
 //                AprioriMine.
 //  * Data:       GenerateQuest, GenerateMushroomLike,
@@ -44,7 +44,6 @@
 #ifndef PFCI_PFCI_H_
 #define PFCI_PFCI_H_
 
-#include "src/core/bfs_miner.h"
 #include "src/core/brute_force.h"
 #include "src/core/closed_probability.h"
 #include "src/core/eval_cache.h"
@@ -55,12 +54,9 @@
 #include "src/core/mine.h"
 #include "src/core/mining_params.h"
 #include "src/core/mining_result.h"
-#include "src/core/mpfci_miner.h"
-#include "src/core/naive_miner.h"
 #include "src/core/pfi_miner.h"
 #include "src/core/probabilistic_support.h"
 #include "src/core/stream_miner.h"
-#include "src/core/topk_miner.h"
 #include "src/data/database_io.h"
 #include "src/data/database_stats.h"
 #include "src/data/item_uncertain_database.h"

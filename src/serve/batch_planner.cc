@@ -16,10 +16,6 @@ BatchPlan PlanBatch(std::span<const MiningRequest> requests) {
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const MiningRequest& request = requests[i];
     std::string error = ValidateRequest(request);
-    if (error.empty() && !request.sweep_min_sup.empty()) {
-      error = "a batch member may not carry sweep_min_sup (a member is "
-              "exactly one run; expand the sweep before batching)";
-    }
     if (!error.empty()) {
       plan.invalid.push_back(i);
       plan.invalid_reasons.push_back(std::move(error));

@@ -64,9 +64,7 @@ struct BatchPlan {
 };
 
 /// Plans `requests` into compatibility groups. A request that fails
-/// ValidateRequest — or carries its own sweep_min_sup grid: a batch
-/// member is exactly one run; expand sweeps before batching — lands in
-/// `invalid` instead of a group.
+/// ValidateRequest lands in `invalid` instead of a group.
 BatchPlan PlanBatch(std::span<const MiningRequest> requests);
 
 }  // namespace pfci

@@ -259,8 +259,8 @@ std::vector<MiningResult> MiningSession::MineBatch(
   // beyond the first get their own thread so their work units interleave
   // on the shared work-stealing pool (fair-share UnitQuota keeps
   // per-request budgets scheduling-independent). The first group runs on
-  // the calling thread — a single-group batch (every MineSweep) adds no
-  // thread at all.
+  // the calling thread — a single-group batch (e.g. a min_sup sweep) adds
+  // no thread at all.
   const auto run_group = [&state, &batch_clock, &results,
                           &requests](const BatchGroup& group) {
     for (std::size_t position = 0; position < group.members.size();
@@ -295,32 +295,6 @@ std::vector<MiningResult> MiningSession::MineBatch(
     result.stats.batch_groups = plan.groups.size();
   }
   return results;
-}
-
-std::vector<MiningResult> MiningSession::MineSweep(
-    const MiningRequest& request) {
-  std::vector<MiningResult> results;
-  const std::string error = ValidateRequest(request);
-  if (!error.empty() || request.sweep_min_sup.empty()) {
-    results.push_back(InvalidResult(
-        error.empty()
-            ? std::string("MineSweep requires a non-empty sweep_min_sup")
-            : error));
-    return results;
-  }
-  // A sweep is a batch whose members differ only in min_sup: the planner
-  // puts them in one group, lowest threshold first, with tail tables
-  // extended to the sweep's largest threshold (anti-monotonicity makes
-  // the first run's candidate set a superset of every later run's).
-  std::vector<MiningRequest> steps;
-  steps.reserve(request.sweep_min_sup.size());
-  for (const std::size_t min_sup : request.sweep_min_sup) {
-    MiningRequest step = request;
-    step.sweep_min_sup.clear();
-    step.params.min_sup = min_sup;
-    steps.push_back(std::move(step));
-  }
-  return MineBatch(steps);
 }
 
 std::uint64_t MiningSession::cache_bytes() const {

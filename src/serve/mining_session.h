@@ -72,7 +72,7 @@ struct SessionOptions {
   bool warm_start = true;
 
   /// Admission control (DESIGN.md §14): maximum number of concurrently
-  /// executing Mine()/MineSweep-step runs. 0 disables admission control
+  /// executing Mine()/MineBatch-member runs. 0 disables admission control
   /// (every request runs immediately). A request arriving with
   /// max_inflight runs already executing is queued if queue room exists,
   /// else rejected immediately (Outcome::kRejected, sub-millisecond, no
@@ -147,19 +147,13 @@ class MiningSession {
   /// perturbing the rest. Every result is stamped with the batch
   /// counters (stats.batch_size, batch_groups, shared_dp_hits,
   /// queued_micros; stats-json schema v6).
+  ///
+  /// A min_sup sweep is a batch of requests differing only in min_sup:
+  /// they form one group, so the lowest threshold runs first with DP
+  /// tail tables extended to the largest — its candidates are a superset
+  /// of every later run's (anti-monotonicity), and the higher thresholds
+  /// are answered from the cache without re-running the DP.
   std::vector<MiningResult> MineBatch(std::span<const MiningRequest> requests);
-
-  /// Serves request.sweep_min_sup (strictly increasing min_sup values) as
-  /// one request per threshold; results come back in sweep order. A thin
-  /// wrapper over MineBatch(): the expanded per-threshold requests form
-  /// one batch group, so the sweep runs lowest threshold first with DP
-  /// tail tables extended to the sweep's largest threshold — the first
-  /// run explores a superset of every later run's candidates
-  /// (anti-monotonicity), and the higher thresholds are answered from
-  /// the cache without re-running the DP. On an invalid request the
-  /// vector holds a single kInvalidRequest result carrying the
-  /// diagnosis.
-  std::vector<MiningResult> MineSweep(const MiningRequest& request);
 
   const UncertainDatabase& db() const { return *state_->db; }
   const SessionOptions& options() const { return state_->options; }

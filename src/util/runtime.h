@@ -160,7 +160,7 @@ struct WorkUnitBudget {
 /// Thread-safe: checkpoints may run concurrently from worker threads.
 class RunController {
  public:
-  /// Unlimited, never stops (the wrappers' default).
+  /// Unlimited, never stops (the default for kernels called directly).
   RunController() = default;
 
   /// Starts the run clock immediately.

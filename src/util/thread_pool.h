@@ -60,8 +60,8 @@ class ThreadPool {
   static std::size_t DefaultThreads();
 
   /// Lazily constructed process-wide pool with DefaultThreads() threads;
-  /// used by the compatibility wrappers (MineMpfci & friends) so that they
-  /// parallelize without spawning threads per call.
+  /// used by Mine() for requests with execution.num_threads == 0 so that
+  /// they parallelize without spawning threads per call.
   static ThreadPool& Shared();
 
  private:

@@ -1,6 +1,6 @@
-// API contract tests: invalid-usage CHECKs fire (death tests), inert
-// inputs are truly inert, and the unified Mine() entry point agrees with
-// the historical free-function wrappers.
+// API contract tests: invalid-usage CHECKs fire (death tests), invalid
+// requests come back from Mine() as data, inert inputs are truly inert,
+// and the algorithms behind Mine() agree with the kernels they report.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -11,16 +11,11 @@
 #include <string>
 #include <vector>
 
-#include "src/core/bfs_miner.h"
-#include "src/core/brute_force.h"
 #include "src/core/expected_support_miner.h"
 #include "src/core/mine.h"
-#include "src/core/mpfci_miner.h"
-#include "src/core/naive_miner.h"
 #include "src/core/pfi_miner.h"
 #include "src/core/request_io.h"
 #include "src/core/stream_miner.h"
-#include "src/core/topk_miner.h"
 #include "src/data/item_uncertain_database.h"
 #include "src/data/request_wire.h"
 #include "src/data/uncertain_database.h"
@@ -40,20 +35,6 @@ TEST(ApiContractDeathTest, RejectsInvalidProbabilities) {
   EXPECT_DEATH(db.Add(Itemset{0}, 0.0), "CHECK");
   EXPECT_DEATH(db.Add(Itemset{0}, -0.1), "CHECK");
   EXPECT_DEATH(db.Add(Itemset{0}, 1.5), "CHECK");
-}
-
-TEST(ApiContractDeathTest, RejectsInvalidMiningParams) {
-  UncertainDatabase db;
-  db.Add(Itemset{0}, 0.5);
-  MiningParams params;
-  params.min_sup = 0;  // Must be >= 1.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  EXPECT_DEATH(MineMpfci(db, params), "CHECK");
-  params.min_sup = 1;
-  params.pfct = 1.0;  // Must be < 1 (strict comparison would be empty).
-  EXPECT_DEATH(MineMpfci(db, params), "CHECK");
-#pragma GCC diagnostic pop
 }
 
 TEST(ApiContract, StreamDegenerateConfigsSurfaceAsData) {
@@ -124,12 +105,18 @@ TEST(ApiContract, ValidateRequestCoversRequestFields) {
   request.budget.degrade_fraction = 0.0;
   EXPECT_NE(ValidateRequest(request).find("degrade_fraction"),
             std::string::npos);
+  request.budget.degrade_fraction = 1.0;
+  request.execution.num_threads = kMaxNumThreads;
+  EXPECT_EQ(ValidateRequest(request), "");
+  request.execution.num_threads = kMaxNumThreads + 1;
+  EXPECT_NE(ValidateRequest(request).find("execution.num_threads"),
+            std::string::npos);
 }
 
 TEST(ApiContract, MineReportsInvalidRequestsWithoutAborting) {
   // The Mine() API boundary reports bad requests as data: an empty
-  // result with kInvalidRequest and the validation message, instead of
-  // the wrappers' CHECK-abort.
+  // result with kInvalidRequest and the validation message, never an
+  // abort.
   UncertainDatabase db;
   db.Add(Itemset{0}, 0.5);
   MiningRequest request;
@@ -149,19 +136,18 @@ TEST(ApiContract, MineReportsInvalidRequestsWithoutAborting) {
   EXPECT_TRUE(bad_top_k.itemsets.empty());
   EXPECT_NE(bad_top_k.status_message.find("top_k"), std::string::npos)
       << bad_top_k.status_message;
-}
 
-TEST(ApiContractDeathTest, WrappersKeepCheckOnInvalidParams) {
-  // The deprecated free-function wrappers retain their CHECK-on-invalid
-  // contract even though Mine() now reports errors as data.
-  UncertainDatabase db;
-  db.Add(Itemset{0}, 0.5);
-  MiningParams params;
-  params.pfct = 1.5;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  EXPECT_DEATH(MineMpfci(db, params), "CHECK");
-#pragma GCC diagnostic pop
+  // A thread count no pool can be built for (e.g. a wrapped-around -1
+  // from a request file) is rejected before any pool is created.
+  request.algorithm = Algorithm::kMpfci;
+  request.top_k = 0;
+  request.execution.num_threads = static_cast<std::size_t>(-1);
+  const MiningResult bad_threads = Mine(db, request);
+  EXPECT_EQ(bad_threads.outcome(), Outcome::kInvalidRequest);
+  EXPECT_TRUE(bad_threads.itemsets.empty());
+  EXPECT_NE(bad_threads.status_message.find("execution.num_threads"),
+            std::string::npos)
+      << bad_threads.status_message;
 }
 
 TEST(ApiContract, AlgorithmNamesAreStable) {
@@ -203,28 +189,6 @@ TEST(ApiContract, CrossFieldValidationNamesTheOffendingField) {
   EXPECT_NE(ValidateRequest(request).find("min_esup"), std::string::npos);
   request.algorithm = Algorithm::kExpectedSupport;
   EXPECT_EQ(ValidateRequest(request), "");
-
-  // Sweep thresholds must be >= 1 and strictly increasing.
-  request = MiningRequest{};
-  request.sweep_min_sup = {2, 2};
-  EXPECT_NE(ValidateRequest(request).find("sweep_min_sup"),
-            std::string::npos);
-  request.sweep_min_sup = {0, 1};
-  EXPECT_NE(ValidateRequest(request).find("sweep_min_sup"),
-            std::string::npos);
-  request.sweep_min_sup = {2, 5, 9};
-  EXPECT_EQ(ValidateRequest(request), "");
-}
-
-TEST(ApiContract, SingleShotMineRejectsSweepRequests) {
-  const UncertainDatabase db = MakeSmallDb();
-  MiningRequest request;
-  request.params.min_sup = 2;
-  request.sweep_min_sup = {2, 3};
-  const MiningResult result = Mine(db, request);
-  EXPECT_EQ(result.outcome(), Outcome::kInvalidRequest);
-  EXPECT_NE(result.status_message.find("MineSweep"), std::string::npos)
-      << result.status_message;
 }
 
 TEST(ApiContract, BruteForceGuardsDatabaseSizeAsData) {
@@ -257,37 +221,6 @@ TEST(ApiContract, OverloadsRejectMismatchedAlgorithmLevels) {
   EXPECT_EQ(Mine(item_db, request).outcome(), Outcome::kComplete);
 }
 
-TEST(ApiContract, DeprecatedWrappersStillMatchMine) {
-  const UncertainDatabase db = MakeSmallDb();
-  MiningRequest request;
-  request.params.min_sup = 2;
-  request.params.pfct = 0.1;
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  request.algorithm = Algorithm::kBruteForce;
-  const MiningResult brute = Mine(db, request);
-  const std::vector<FcpGroundTruth> truth =
-      BruteForceMinePfci(db, request.params.min_sup, request.params.pfct);
-  ASSERT_EQ(brute.itemsets.size(), truth.size());
-  for (std::size_t i = 0; i < truth.size(); ++i) {
-    EXPECT_EQ(brute.itemsets[i].items, truth[i].items);
-    EXPECT_EQ(brute.itemsets[i].fcp, truth[i].fcp);
-  }
-
-  request.algorithm = Algorithm::kExpectedSupportFpGrowth;
-  request.min_esup = 1.5;
-  const MiningResult fp = Mine(db, request);
-  const std::vector<ExpectedSupportEntry> entries =
-      MineExpectedSupportFpGrowth(db, request.min_esup);
-  ASSERT_EQ(fp.itemsets.size(), entries.size());
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    EXPECT_EQ(fp.itemsets[i].items, entries[i].items);
-    EXPECT_EQ(fp.itemsets[i].pr_f, entries[i].expected_support);
-  }
-#pragma GCC diagnostic pop
-}
-
 /// A fixed 6-transaction database exercising all miners cheaply.
 UncertainDatabase MakeSmallDb() {
   UncertainDatabase db;
@@ -298,41 +231,6 @@ UncertainDatabase MakeSmallDb() {
   db.Add(Itemset{0, 1}, 0.4);
   db.Add(Itemset{0}, 0.4);
   return db;
-}
-
-void ExpectSameItemsets(const MiningResult& a, const MiningResult& b) {
-  ASSERT_EQ(a.itemsets.size(), b.itemsets.size());
-  for (std::size_t i = 0; i < a.itemsets.size(); ++i) {
-    EXPECT_EQ(a.itemsets[i].items, b.itemsets[i].items);
-    EXPECT_EQ(a.itemsets[i].fcp, b.itemsets[i].fcp);
-    EXPECT_EQ(a.itemsets[i].pr_f, b.itemsets[i].pr_f);
-  }
-}
-
-TEST(ApiContract, MineMatchesFreeFunctionWrappers) {
-  // Parity pin for the deprecated miner wrappers: each shim must keep
-  // returning exactly what Mine() returns until its removal next cycle.
-  const UncertainDatabase db = MakeSmallDb();
-  MiningRequest request;
-  request.params.min_sup = 2;
-  request.params.pfct = 0.1;
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  request.algorithm = Algorithm::kMpfci;
-  ExpectSameItemsets(Mine(db, request), MineMpfci(db, request.params));
-
-  request.algorithm = Algorithm::kMpfciBfs;
-  ExpectSameItemsets(Mine(db, request), MineMpfciBfs(db, request.params));
-
-  request.algorithm = Algorithm::kNaive;
-  ExpectSameItemsets(Mine(db, request), MineNaive(db, request.params));
-
-  request.algorithm = Algorithm::kTopK;
-  request.top_k = 3;
-  ExpectSameItemsets(Mine(db, request),
-                     MineTopKPfci(db, request.params, request.top_k));
-#pragma GCC diagnostic pop
 }
 
 TEST(ApiContract, MinePfiAlgorithmReportsFrequentProbabilities) {

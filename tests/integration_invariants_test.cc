@@ -11,8 +11,7 @@
 namespace pfci {
 namespace {
 
-// All invariant checks go through the Mine() front door (the free-function
-// wrappers are deprecated; their parity is pinned by api_contract_test).
+// All invariant checks go through the Mine() front door.
 MiningResult MineWith(Algorithm algorithm, const UncertainDatabase& db,
                       const MiningParams& params) {
   MiningRequest request;

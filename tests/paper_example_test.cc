@@ -25,8 +25,7 @@ MiningParams PaperParams() {
   return params;
 }
 
-// Paper-example runs go through the Mine() front door (the free-function
-// wrappers are deprecated; their parity is pinned by api_contract_test).
+// Paper-example runs go through the Mine() front door.
 MiningResult MineWith(Algorithm algorithm, const UncertainDatabase& db,
                       const MiningParams& params) {
   MiningRequest request;

@@ -10,7 +10,6 @@
 
 #include "src/core/brute_force.h"
 #include "src/core/mine.h"
-#include "src/core/mpfci_miner.h"
 #include "src/datagen/probability_assigner.h"
 #include "src/datagen/quest_generator.h"
 #include "src/util/thread_pool.h"
@@ -308,22 +307,6 @@ TEST(ParallelDeterminism, BruteForceIdenticalAcrossThreadCounts) {
   EXPECT_EQ(a.pr_f, b.pr_f);
   EXPECT_EQ(a.pr_c, b.pr_c);
   EXPECT_EQ(a.pr_fc, b.pr_fc);
-}
-
-TEST(ParallelDeterminism, WrapperMatchesExplicitSingleThreadRequest) {
-  // The (deprecated) free function and Mine() with the default policy must
-  // agree bit-for-bit (the wrapper is now a shim over the same engine).
-  const UncertainDatabase db = MakeTestDb(42);
-  MiningRequest request;
-  request.params.min_sup = 8;
-  request.params.pfct = 0.3;
-  request.params.seed = 42;
-  const MiningResult via_mine = Mine(db, request);
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const MiningResult via_wrapper = MineMpfci(db, request.params);
-#pragma GCC diagnostic pop
-  ExpectIdentical(via_mine, via_wrapper);
 }
 
 }  // namespace

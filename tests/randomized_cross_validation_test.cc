@@ -11,7 +11,6 @@
 #include "src/core/brute_force.h"
 #include "src/core/fcp_engine.h"
 #include "src/core/frequent_probability.h"
-#include "src/core/mpfci_miner.h"
 #include "src/core/pfi_miner.h"
 #include "src/data/vertical_index.h"
 #include "src/harness/variants.h"

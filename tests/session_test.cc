@@ -97,30 +97,6 @@ TEST(MiningSession, SecondIdenticalRequestIsAllCacheHits) {
   EXPECT_GT(session.cache_entries(), 0u);
 }
 
-TEST(MiningSession, SweepReusesDpTablesAcrossThresholds) {
-  const UncertainDatabase db = MakeQuestDb(11);
-  MiningSession session = MiningSession::Open(db);
-
-  MiningRequest request = BaseRequest(Algorithm::kMpfci, 1);
-  request.sweep_min_sup = {4, 5, 6, 7, 8};
-  const std::vector<MiningResult> sweep = session.MineSweep(request);
-  ASSERT_EQ(sweep.size(), request.sweep_min_sup.size());
-
-  std::uint64_t dp_reused = 0;
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    // Each sweep step matches a cold standalone run at that threshold.
-    MiningRequest step = request;
-    step.sweep_min_sup.clear();
-    step.params.min_sup = request.sweep_min_sup[i];
-    ExpectIdenticalResults(Mine(db, step), sweep[i]);
-    dp_reused += sweep[i].stats.dp_reused;
-  }
-  // The sweep runs lowest-threshold-first with tables extended to the
-  // sweep maximum, so the higher thresholds were answered from stored
-  // tables without re-running the DP.
-  EXPECT_GT(dp_reused, 0u);
-}
-
 TEST(MiningSession, EvictionKeepsResultsExactUnderTinyByteBudget) {
   const UncertainDatabase db = MakeQuestDb(13);
   SessionOptions options;
@@ -180,30 +156,6 @@ TEST(MiningSession, CacheDisabledSessionStillServes) {
   EXPECT_EQ(warm.stats.cache_misses, 0u);
   EXPECT_EQ(session.cache_bytes(), 0u);
   EXPECT_EQ(session.warm_items_recorded(), 0u);
-}
-
-TEST(MiningSession, SweepValidation) {
-  const UncertainDatabase db = MakeQuestDb(23);
-  MiningSession session = MiningSession::Open(db);
-
-  // Empty sweep list.
-  MiningRequest request = BaseRequest(Algorithm::kMpfci, 2);
-  std::vector<MiningResult> results = session.MineSweep(request);
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(results[0].outcome(), Outcome::kInvalidRequest);
-
-  // Not strictly increasing.
-  request.sweep_min_sup = {4, 4};
-  results = session.MineSweep(request);
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(results[0].outcome(), Outcome::kInvalidRequest);
-  EXPECT_NE(results[0].status_message.find("sweep_min_sup"),
-            std::string::npos);
-
-  // Single-shot Mine() refuses sweep requests (session or standalone).
-  request.sweep_min_sup = {4, 5};
-  EXPECT_EQ(session.Mine(request).outcome(), Outcome::kInvalidRequest);
-  EXPECT_EQ(Mine(db, request).outcome(), Outcome::kInvalidRequest);
 }
 
 /// The acceptance matrix: session (cache on) vs standalone (cache off)
@@ -879,32 +831,6 @@ TEST(MiningSession, MineBatchOnEmptySpanReturnsEmpty) {
   const UncertainDatabase db = MakePaperExampleDb();
   MiningSession session = MiningSession::Open(db);
   EXPECT_TRUE(session.MineBatch(std::span<const MiningRequest>{}).empty());
-}
-
-TEST(MiningSession, MineSweepIsAPlannedBatchOfOneGroup) {
-  const UncertainDatabase db = MakeQuestDb(61);
-  MiningRequest request = BaseRequest(Algorithm::kMpfci, 1);
-  request.sweep_min_sup = {4, 6, 8};
-  MiningSession sweep_session = MiningSession::Open(db);
-  const std::vector<MiningResult> sweep = sweep_session.MineSweep(request);
-
-  std::vector<MiningRequest> steps;
-  for (const std::size_t min_sup : request.sweep_min_sup) {
-    MiningRequest step = request;
-    step.sweep_min_sup.clear();
-    step.params.min_sup = min_sup;
-    steps.push_back(step);
-  }
-  MiningSession batch_session = MiningSession::Open(db);
-  const std::vector<MiningResult> batch = batch_session.MineBatch(steps);
-
-  ASSERT_EQ(sweep.size(), batch.size());
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    SCOPED_TRACE("step " + std::to_string(i));
-    ExpectIdenticalResults(batch[i], sweep[i]);
-    EXPECT_EQ(sweep[i].stats.batch_size, steps.size());
-    EXPECT_EQ(sweep[i].stats.batch_groups, 1u);
-  }
 }
 
 TEST(MiningSession, BatchFollowersShareTheLeadersTables) {

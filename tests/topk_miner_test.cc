@@ -1,6 +1,4 @@
-// Tests for the top-k PFCI miner extension.
-#include "src/core/topk_miner.h"
-
+// Tests for the top-k PFCI miner extension (Algorithm::kTopK).
 #include <algorithm>
 
 #include <gtest/gtest.h>
@@ -21,8 +19,7 @@ MiningParams BaseParams(std::size_t min_sup) {
   return params;
 }
 
-// Top-k runs go through the Mine() front door (the MineTopKPfci free
-// function is deprecated; its parity is pinned by api_contract_test).
+// Top-k runs go through the Mine() front door.
 MiningResult MineTopK(const UncertainDatabase& db, const MiningParams& params,
                       std::size_t k) {
   MiningRequest request;
@@ -138,8 +135,7 @@ TEST(TopkMiner, TieBreakInvariantUnderItemRelabeling) {
 
 TEST(TopkMiner, KZeroIsRejected) {
   const UncertainDatabase db = MakeTieDb();
-  // Through Mine(), k = 0 is error-as-data; the deprecated free function
-  // keeps the historical CHECK (covered by api_contract_test).
+  // k = 0 is error-as-data, never an abort.
   const MiningResult result = MineTopK(db, BaseParams(1), 0);
   EXPECT_EQ(result.outcome(), Outcome::kInvalidRequest);
   EXPECT_NE(result.status_message.find("top_k must be >= 1"),

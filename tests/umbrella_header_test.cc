@@ -18,15 +18,7 @@ TEST(UmbrellaHeader, EndToEndSmoke) {
   params.min_sup = 2;
   params.pfct = 0.8;
 
-  // Every miner family is reachable through the single include. The
-  // free-function wrappers are deprecated (delegating to Mine()) but must
-  // stay visible through the umbrella until their removal next cycle.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  EXPECT_EQ(MineMpfci(db, params).itemsets.size(), 2u);
-  EXPECT_EQ(MineMpfciBfs(db, params).itemsets.size(), 2u);
-  EXPECT_EQ(MineTopKPfci(db, params, 1).itemsets.size(), 1u);
-#pragma GCC diagnostic pop
+  // Every miner family is reachable through the single include.
   EXPECT_EQ(MinePfi(db, 2, 0.8).size(), 15u);
   EXPECT_FALSE(MineExpectedSupport(db, 1.0).empty());
   EXPECT_FALSE(MinePsupClosed(db, 2, 0.8).empty());

@@ -7,10 +7,10 @@ headers only from its own layer or layers below it.
     util < prob < data < exact < datagen < core < {serve, harness}
 
 `src/core/search/` is part of `core` but is additionally the *kernel*
-underneath the miner entry points: it must not include the miner facade
-headers (mpfci_miner.h, mine.h, ...) or anything from serve/, or the
-"miners are thin compositions over the kernel" inversion would silently
-rot back into a cycle.
+underneath the miner entry points: it must not include the entry-point
+headers (mine.h, pfi_miner.h, ...) or anything from serve/, or the
+"Mine() dispatches down into the kernel" inversion would silently rot
+back into a cycle.
 
 `src/harness/oracle/` is the differential-testing leaf: library code
 must never include it (only tests/ and tools/ consume it).
@@ -56,10 +56,6 @@ ORACLE_PREFIX = "src/harness/oracle/"
 # (src/core/search/) composes upward into these, never the reverse.
 FACADE_HEADERS = {
     "src/core/mine.h",
-    "src/core/mpfci_miner.h",
-    "src/core/bfs_miner.h",
-    "src/core/naive_miner.h",
-    "src/core/topk_miner.h",
     "src/core/pfi_miner.h",
     "src/core/stream_miner.h",
     "src/core/brute_force.h",
