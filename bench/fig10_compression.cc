@@ -17,7 +17,6 @@
 
 #include "bench/bench_common.h"
 #include "src/core/mine.h"
-#include "src/core/pfi_miner.h"
 #include "src/exact/closed_miner.h"
 #include "src/exact/fp_growth.h"
 #include "src/harness/experiment.h"
@@ -27,10 +26,10 @@ namespace pfci {
 namespace {
 
 // Bench runs go through the Mine() front door.
-MiningResult MineMpfciViaRequest(const UncertainDatabase& db,
-                                 const MiningParams& params) {
+MiningResult MineViaRequest(Algorithm algorithm, const UncertainDatabase& db,
+                            const MiningParams& params) {
   MiningRequest request;
-  request.algorithm = Algorithm::kMpfci;
+  request.algorithm = algorithm;
   request.params = params;
   return Mine(db, request);
 }
@@ -62,9 +61,9 @@ void RunSetting(const char* name, double mean, double spread,
 
     MiningParams params = bench::PaperDefaultParams(uncertain, rel);
     const std::size_t num_pfi =
-        MinePfi(uncertain, params.min_sup, params.pfct).size();
+        MineViaRequest(Algorithm::kPfi, uncertain, params).itemsets.size();
     const std::size_t num_pfci =
-        MineMpfciViaRequest(uncertain, params).itemsets.size();
+        MineViaRequest(Algorithm::kMpfci, uncertain, params).itemsets.size();
 
     char fci_ratio[32], pfci_ratio[32];
     std::snprintf(fci_ratio, sizeof(fci_ratio), "%.3f",

@@ -10,7 +10,6 @@
 #include <cstdlib>
 
 #include "src/core/mine.h"
-#include "src/core/pfi_miner.h"
 #include "src/data/database_stats.h"
 #include "src/datagen/mushroom_generator.h"
 #include "src/datagen/probability_assigner.h"
@@ -43,20 +42,21 @@ int main(int argc, char** argv) {
   std::printf("mining with min_sup=%zu (%.0f%% of rows), pfct=%.2f\n",
               params.min_sup, rel * 100, params.pfct);
 
-  const auto pfis = MinePfi(db, params.min_sup, params.pfct);
   MiningRequest request;
-  request.algorithm = Algorithm::kMpfci;
+  request.algorithm = Algorithm::kPfi;
   request.params = params;
+  const std::size_t num_pfis = Mine(db, request).itemsets.size();
+  request.algorithm = Algorithm::kMpfci;
   const MiningResult result = Mine(db, request);
 
   std::printf("\nprobabilistic frequent itemsets:        %6zu\n",
-              pfis.size());
+              num_pfis);
   std::printf("probabilistic frequent CLOSED itemsets: %6zu  (%.1f%%)\n",
               result.itemsets.size(),
-              pfis.empty() ? 0.0
+              num_pfis == 0 ? 0.0
                            : 100.0 * static_cast<double>(
                                          result.itemsets.size()) /
-                                 static_cast<double>(pfis.size()));
+                                 static_cast<double>(num_pfis));
 
   std::printf("\ntop patterns (by frequent closed probability):\n");
   std::vector<PfciEntry> sorted = result.itemsets;

@@ -11,7 +11,6 @@
 
 #include "src/core/brute_force.h"
 #include "src/core/mine.h"
-#include "src/core/pfi_miner.h"
 #include "src/data/world_enumerator.h"
 #include "src/exact/closed_miner.h"
 #include "src/harness/dataset_factory.h"
@@ -55,16 +54,17 @@ int main() {
 
   // Example 1.1: there are 15 probabilistic frequent itemsets at
   // pft = 0.8 — too many, and with indistinguishable probabilities.
-  const auto pfis = MinePfi(db, min_sup, 0.8);
+  MiningRequest request;
+  request.algorithm = Algorithm::kPfi;
+  request.params.min_sup = min_sup;
+  request.params.pfct = 0.8;
+  const std::size_t num_pfis = Mine(db, request).itemsets.size();
   std::printf("\nProbabilistic frequent itemsets (pft=0.8): %zu\n",
-              pfis.size());
+              num_pfis);
 
   // Examples 1.2 / 4.3: only {a b c} and {a b c d} are probabilistic
   // frequent CLOSED itemsets — the compressed answer.
-  MiningRequest request;
   request.algorithm = Algorithm::kMpfci;
-  request.params.min_sup = min_sup;
-  request.params.pfct = 0.8;
   const MiningResult result = Mine(db, request);
   std::printf("Probabilistic frequent closed itemsets (pfct=0.8): %zu\n",
               result.itemsets.size());
@@ -77,6 +77,6 @@ int main() {
   std::printf(
       "\nReading: the %zu-itemset answer compresses the %zu probabilistic "
       "frequent itemsets while keeping exact probabilistic semantics.\n",
-      result.itemsets.size(), pfis.size());
+      result.itemsets.size(), num_pfis);
   return 0;
 }

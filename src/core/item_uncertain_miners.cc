@@ -1,6 +1,7 @@
 #include "src/core/item_uncertain_miners.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "src/prob/poisson_binomial.h"
 #include "src/prob/tail_bounds.h"
@@ -62,65 +63,72 @@ class OccurrenceIndex {
   const ItemUncertainDatabase* db_;
 };
 
-void EsupDfs(const OccurrenceIndex& index, const std::vector<Item>& universe,
-             double min_esup, const Itemset& x, const ProbList& problist,
-             std::size_t next_pos, std::vector<ExpectedSupportEntry>* out) {
+/// Expected support: the sum of the containment probabilities.
+struct EsupMeasure {
+  double min_esup;
+
+  bool Qualify(const ProbList& list, double* value) const {
+    *value = list.Sum();
+    return *value >= min_esup;
+  }
+};
+
+/// Frequent probability: the count floor and the Chernoff-Hoeffding
+/// pre-filter, then the exact DP — both valid because support is
+/// Poisson-binomial over the containment probabilities.
+struct PrFMeasure {
+  std::size_t min_sup;
+  double pft;
+
+  bool Qualify(const ProbList& list, double* value) const {
+    if (list.tids.size() < min_sup) return false;
+    const double mu = PoissonBinomialMean(list.probs);
+    if (BestUpperTailBound(mu, list.probs.size(),
+                           static_cast<double>(min_sup)) <= pft) {
+      return false;
+    }
+    *value = PoissonBinomialTailAtLeast(list.probs, min_sup);
+    return *value > pft;
+  }
+};
+
+/// Extends X by every later universe item, emitting and recursing into
+/// each extension the measure qualifies.
+template <typename Measure>
+void Dfs(const OccurrenceIndex& index, const std::vector<Item>& universe,
+         const Measure& measure, const Itemset& x, const ProbList& problist,
+         std::size_t next_pos, const internal::FrequentSink& emit) {
   for (std::size_t pos = next_pos; pos < universe.size(); ++pos) {
     const ProbList child = index.Extend(problist, universe[pos]);
-    const double esup = child.Sum();
-    if (esup < min_esup) continue;
+    double value = 0.0;
+    if (!measure.Qualify(child, &value)) continue;
     const Itemset child_items = x.WithItem(universe[pos]);
-    out->push_back(ExpectedSupportEntry{child_items, esup});
-    EsupDfs(index, universe, min_esup, child_items, child, pos + 1, out);
+    emit(child_items, value);
+    Dfs(index, universe, measure, child_items, child, pos + 1, emit);
   }
 }
 
-void PfiDfs(const OccurrenceIndex& index, const std::vector<Item>& universe,
-            std::size_t min_sup, double pft, const Itemset& x,
-            const ProbList& problist, std::size_t next_pos,
-            std::vector<ItemPfiEntry>* out) {
-  for (std::size_t pos = next_pos; pos < universe.size(); ++pos) {
-    const ProbList child = index.Extend(problist, universe[pos]);
-    if (child.tids.size() < min_sup) continue;
-    // Chernoff-Hoeffding pre-filter, then the exact DP — both valid
-    // because support is Poisson-binomial over child.probs.
-    const double mu = PoissonBinomialMean(child.probs);
-    if (BestUpperTailBound(mu, child.probs.size(),
-                           static_cast<double>(min_sup)) <= pft) {
-      continue;
-    }
-    const double pr_f = PoissonBinomialTailAtLeast(child.probs, min_sup);
-    if (pr_f <= pft) continue;
-    const Itemset child_items = x.WithItem(universe[pos]);
-    out->push_back(ItemPfiEntry{child_items, pr_f});
-    PfiDfs(index, universe, min_sup, pft, child_items, child, pos + 1, out);
-  }
+template <typename Measure>
+void MineItemLevel(const ItemUncertainDatabase& db, const Measure& measure,
+                   const internal::FrequentSink& emit) {
+  const OccurrenceIndex index(db);
+  Dfs(index, db.ItemUniverse(), measure, Itemset{}, index.Root(), 0, emit);
 }
 
 }  // namespace
 
 namespace internal {
 
-std::vector<ExpectedSupportEntry> MineExpectedSupportItemLevel(
-    const ItemUncertainDatabase& db, double min_esup) {
+void MineExpectedSupportItemLevel(const ItemUncertainDatabase& db,
+                                  double min_esup, const FrequentSink& emit) {
   PFCI_CHECK(min_esup > 0.0);
-  const OccurrenceIndex index(db);
-  const std::vector<Item> universe = db.ItemUniverse();
-  std::vector<ExpectedSupportEntry> result;
-  EsupDfs(index, universe, min_esup, Itemset{}, index.Root(), 0, &result);
-  std::sort(result.begin(), result.end());
-  return result;
+  MineItemLevel(db, EsupMeasure{min_esup}, emit);
 }
 
-std::vector<ItemPfiEntry> MinePfiItemLevel(const ItemUncertainDatabase& db,
-                                           std::size_t min_sup, double pft) {
+void MinePfiItemLevel(const ItemUncertainDatabase& db, std::size_t min_sup,
+                      double pft, const FrequentSink& emit) {
   PFCI_CHECK(min_sup >= 1);
-  const OccurrenceIndex index(db);
-  const std::vector<Item> universe = db.ItemUniverse();
-  std::vector<ItemPfiEntry> result;
-  PfiDfs(index, universe, min_sup, pft, Itemset{}, index.Root(), 0, &result);
-  std::sort(result.begin(), result.end());
-  return result;
+  MineItemLevel(db, PrFMeasure{min_sup, pft}, emit);
 }
 
 }  // namespace internal

@@ -5,14 +5,14 @@
 #include <utility>
 
 #include "src/core/brute_force.h"
-#include "src/core/expected_support_miner.h"
 #include "src/core/item_uncertain_miners.h"
-#include "src/core/pfi_miner.h"
 #include "src/core/search/frontier_policies.h"
+#include "src/core/search/pfi_enumeration.h"
 #include "src/core/search/run_snapshot.h"
 #include "src/core/search/search_driver.h"
 #include "src/data/item_uncertain_database.h"
 #include "src/data/world_enumerator.h"
+#include "src/exact/fp_growth.h"
 #include "src/util/retry.h"
 #include "src/util/stopwatch.h"
 #include "src/util/thread_pool.h"
@@ -130,15 +130,19 @@ PfciEntry FrequentEntry(const Itemset& items, double measure) {
 
 /// The shared skeleton of the algorithms that do not run a frontier
 /// policy: `search` fills result.itemsets (and any stats) inside the
-/// "search" span; progress, the "merge" span + Sort, outcome stamping,
-/// timing, and the merged counters follow in that order.
+/// "search" span unless the run-start poll finds the run already
+/// cancelled, past its deadline, or over budget (for esup-fp and the
+/// item-level algorithms the only poll); progress, the "merge" span +
+/// Sort, outcome stamping, timing, and the merged counters follow in that
+/// order.
 template <typename SearchFn>
 MiningResult RunFlat(const ExecutionContext& exec, SearchFn&& search) {
   Stopwatch timer;
   MiningResult result;
   {
     TraceSpan span(exec.trace, "search", &result.stats.search_seconds);
-    search(result);
+    CheckpointAtRunStart(exec.runtime);
+    if (!StopRequested(exec.runtime)) search(result);
   }
   if (exec.progress != nullptr) {
     exec.progress->AddItemsets(result.itemsets.size());
@@ -153,40 +157,32 @@ MiningResult RunFlat(const ExecutionContext& exec, SearchFn&& search) {
   return result;
 }
 
-/// PFI mining: entries carry pr_f, fcp 0.
-MiningResult RunPfi(const UncertainDatabase& db, const MiningRequest& request,
-                    const ExecutionContext& exec) {
-  return RunFlat(exec, [&](MiningResult& result) {
-    const std::vector<PfiEntry> pfis =
-        MinePfi(db, request.params.min_sup, request.params.pfct,
-                request.params.pruning.chernoff, &result.stats,
-                TidSetPolicyFor(request.params), exec.runtime, &exec);
-    result.itemsets.reserve(pfis.size());
-    for (const PfiEntry& pfi : pfis) {
-      result.itemsets.push_back(FrequentEntry(pfi.items, pfi.pr_f));
-    }
-  });
+/// Appends a flat search's entries as result entries carrying `measure`.
+template <typename Entry>
+void AppendFrequent(const std::vector<Entry>& entries, double Entry::*measure,
+                    MiningResult& result) {
+  result.itemsets.reserve(entries.size());
+  for (const Entry& entry : entries) {
+    result.itemsets.push_back(FrequentEntry(entry.items, entry.*measure));
+  }
 }
 
-/// Expected-support mining: the expected support is reported in the pr_f
-/// field, fcp is 0. `fp_growth` selects the weighted FP-growth baseline
-/// (same answer, no fail-soft hooks).
-MiningResult RunExpectedSupport(const UncertainDatabase& db,
-                                const MiningRequest& request,
-                                const ExecutionContext& exec,
-                                bool fp_growth) {
-  const double min_esup = EffectiveMinEsup(request);
+/// The item-level algorithms: entries carry the measure (expected support
+/// or PrF) in pr_f, fcp 0.
+MiningResult RunItemLevel(const ItemUncertainDatabase& db,
+                          const MiningRequest& request,
+                          const ExecutionContext& exec) {
   return RunFlat(exec, [&](MiningResult& result) {
-    const std::vector<ExpectedSupportEntry> entries =
-        fp_growth ? internal::MineExpectedSupportFpGrowth(db, min_esup)
-                  : MineExpectedSupport(db, min_esup, &result.stats,
-                                        exec.runtime,
-                                        TidSetPolicyFor(request.params),
-                                        &exec);
-    result.itemsets.reserve(entries.size());
-    for (const ExpectedSupportEntry& in : entries) {
-      result.itemsets.push_back(
-          FrequentEntry(in.items, in.expected_support));
+    const internal::FrequentSink emit = [&](const Itemset& items,
+                                            double measure) {
+      result.itemsets.push_back(FrequentEntry(items, measure));
+    };
+    if (request.algorithm == Algorithm::kItemExpectedSupport) {
+      internal::MineExpectedSupportItemLevel(db, EffectiveMinEsup(request),
+                                             emit);
+    } else {
+      internal::MinePfiItemLevel(db, request.params.min_sup,
+                                 request.params.pfct, emit);
     }
   });
 }
@@ -225,6 +221,162 @@ struct FlushOnExit {
     if (progress != nullptr) progress->Flush();
   }
 };
+
+/// Runs a tuple-level algorithm in a prepared context.
+MiningResult RunAlgorithm(const UncertainDatabase& db,
+                          const MiningRequest& request,
+                          const ExecutionContext& exec) {
+  switch (request.algorithm) {
+    case Algorithm::kMpfci: {
+      WorkStealingDfsFrontier frontier;
+      return RunSearch(db, request.params, exec, frontier);
+    }
+    case Algorithm::kMpfciBfs: {
+      LevelSyncBfsFrontier frontier;
+      return RunSearch(db, request.params, exec, frontier);
+    }
+    case Algorithm::kNaive: {
+      FlatCheckFrontier frontier;
+      return RunSearch(db, request.params, exec, frontier);
+    }
+    case Algorithm::kTopK: {
+      TopKFrontier frontier(request.top_k);
+      return RunSearch(db, request.params, exec, frontier);
+    }
+    // The flat (non-closed) algorithms report their measure in pr_f:
+    // PrF for pfi, expected support for esup and esup-fp.
+    case Algorithm::kPfi:
+      return RunFlat(exec, [&](MiningResult& result) {
+        const MiningParams& params = request.params;
+        AppendFrequent(
+            EnumeratePfis(db, params.min_sup, params.pfct,
+                          params.pruning.chernoff, FrequencyMode::kExactDp,
+                          &result.stats, TidSetPolicyFor(params), exec),
+            &PfiEntry::pr_f, result);
+      });
+    case Algorithm::kExpectedSupport:
+      return RunFlat(exec, [&](MiningResult& result) {
+        AppendFrequent(
+            EnumerateExpectedSupport(db, EffectiveMinEsup(request),
+                                     &result.stats,
+                                     TidSetPolicyFor(request.params), exec),
+            &ExpectedSupportEntry::expected_support, result);
+      });
+    case Algorithm::kExpectedSupportFpGrowth:
+      return RunFlat(exec, [&](MiningResult& result) {
+        FpGrowth(db, EffectiveMinEsup(request),
+                 [&](const Itemset& items, double esup) {
+                   result.itemsets.push_back(FrequentEntry(items, esup));
+                 });
+      });
+    case Algorithm::kBruteForce:
+      return RunBruteForce(db, request, exec);
+    case Algorithm::kItemExpectedSupport:
+    case Algorithm::kItemPfi:
+      break;  // Rejected by MineImpl.
+  }
+  return MiningResult();
+}
+
+/// The run skeleton both Mine() overloads share once a request is valid:
+/// builds the thread pool, progress sink, fail-soft controller and session
+/// bindings into one ExecutionContext, calls `dispatch(exec)` between the
+/// run_begin / run_end trace events, and flushes the sinks on every exit
+/// path. `resume` (nullable) is the verified snapshot the run continues;
+/// a stopped run with a snapshot.save_path persists its state under
+/// `fingerprint`.
+template <typename DispatchFn>
+MiningResult RunRequest(const MiningRequest& request,
+                        const SessionBindings* bindings,
+                        const RunSnapshot* resume, std::uint64_t fingerprint,
+                        DispatchFn&& dispatch) {
+  // Thread-count 0 means "library default": share the lazily-created
+  // global pool. An explicit count gets a dedicated pool of that size so
+  // the request's policy is honored exactly.
+  std::unique_ptr<ThreadPool> owned_pool;
+  ThreadPool* pool = nullptr;
+  if (request.execution.num_threads == 0) {
+    pool = &ThreadPool::Shared();
+  } else {
+    owned_pool =
+        std::make_unique<ThreadPool>(ResolveNumThreads(request.execution));
+    pool = owned_pool.get();
+  }
+
+  std::unique_ptr<ProgressSink> sink;
+  if (request.progress) {
+    sink = std::make_unique<ProgressSink>(request.progress,
+                                          request.progress_interval);
+  }
+
+  RunController controller(request.budget, request.cancel);
+
+  // A save path arms drain-at-unit-boundary suspension for the
+  // frontier-resumable algorithms: a stop request then lets in-flight
+  // units finish (refusing new ones), so the captured frontier needs no
+  // attribution surgery. Arming makes the controller active, so the
+  // runtime is always wired when a snapshot may be written.
+  RunSnapshot save_snapshot;
+  const bool save_requested = !request.snapshot.save_path.empty();
+  if (save_requested && SupportsFrontierResume(request.algorithm)) {
+    controller.ArmSuspend();
+  }
+
+  ExecutionContext exec;
+  exec.pool = pool;
+  exec.deterministic = request.execution.deterministic;
+  exec.progress = sink.get();
+  exec.trace = request.trace;
+  if (controller.active()) exec.runtime = &controller;
+  exec.resume_snapshot = resume;
+  if (save_requested) exec.save_snapshot = &save_snapshot;
+  if (bindings != nullptr) {
+    exec.shared_index = bindings->index;
+    exec.eval_cache = bindings->eval_cache;
+    exec.warm_start = bindings->warm_start;
+    exec.table_floor = bindings->table_floor;
+  }
+
+  // Sinks flush on every exit path: a cancelled or deadline-stopped run
+  // still delivers its final progress snapshot and buffered trace events.
+  FlushOnExit flusher{exec.trace, sink.get()};
+
+  TraceRunBegin(exec.trace, AlgorithmName(request.algorithm));
+  MiningResult result = dispatch(exec);
+
+  if (resume != nullptr) result.stats.resumed = true;
+  if (!result.ok() && result.status_message.empty()) {
+    result.status_message =
+        std::string("run stopped: ") + OutcomeName(result.outcome());
+  }
+  // A stopped run persists its state for a later resume. Algorithms
+  // without frontier capture (or runs stopped before the first drain)
+  // write a restart-only marker — resuming from it reruns from scratch,
+  // which is trivially bit-identical. The atomic save is retried with
+  // backoff; a persistent failure is reported in status_message but
+  // never changes the run's outcome (the in-memory result is still a
+  // verified partial answer).
+  if (save_requested && !result.ok() &&
+      result.outcome() != Outcome::kInvalidRequest) {
+    save_snapshot.algorithm = AlgorithmName(request.algorithm);
+    save_snapshot.fingerprint = fingerprint;
+    RetryPolicy retry;
+    retry.seed = request.params.seed;
+    const RetryResult saved = RetryWithBackoff(retry, [&] {
+      return SaveRunSnapshotAtomic(save_snapshot, request.snapshot.save_path);
+    });
+    if (saved.succeeded) {
+      result.stats.snapshot_bytes = SerializeRunSnapshot(save_snapshot).size();
+    } else {
+      result.status_message += "; snapshot save failed after " +
+                               std::to_string(saved.attempts) +
+                               " attempts: " + saved.last_error;
+    }
+  }
+  TraceRunEnd(exec.trace, AlgorithmName(request.algorithm),
+              result.itemsets.size(), result.stats.seconds);
+  return result;
+}
 
 MiningResult MineImpl(const UncertainDatabase& db,
                       const MiningRequest& request,
@@ -278,129 +430,10 @@ MiningResult MineImpl(const UncertainDatabase& db,
     resuming = true;
   }
 
-  // Thread-count 0 means "library default": share the lazily-created
-  // global pool. An explicit count gets a dedicated pool of that size so
-  // the request's policy is honored exactly.
-  std::unique_ptr<ThreadPool> owned_pool;
-  ThreadPool* pool = nullptr;
-  if (request.execution.num_threads == 0) {
-    pool = &ThreadPool::Shared();
-  } else {
-    owned_pool =
-        std::make_unique<ThreadPool>(ResolveNumThreads(request.execution));
-    pool = owned_pool.get();
-  }
-
-  std::unique_ptr<ProgressSink> sink;
-  if (request.progress) {
-    sink = std::make_unique<ProgressSink>(request.progress,
-                                          request.progress_interval);
-  }
-
-  RunController controller(request.budget, request.cancel);
-
-  // A save path arms drain-at-unit-boundary suspension for the
-  // frontier-resumable algorithms: a stop request then lets in-flight
-  // units finish (refusing new ones), so the captured frontier needs no
-  // attribution surgery. Arming makes the controller active, so the
-  // runtime is always wired when a snapshot may be written.
-  RunSnapshot save_snapshot;
-  const bool save_requested = !request.snapshot.save_path.empty();
-  if (save_requested && SupportsFrontierResume(request.algorithm)) {
-    controller.ArmSuspend();
-  }
-
-  ExecutionContext exec;
-  exec.pool = pool;
-  exec.deterministic = request.execution.deterministic;
-  exec.progress = sink.get();
-  exec.trace = request.trace;
-  if (controller.active()) exec.runtime = &controller;
-  if (resuming) exec.resume_snapshot = &resume_snapshot;
-  if (save_requested) exec.save_snapshot = &save_snapshot;
-  if (bindings != nullptr) {
-    exec.shared_index = bindings->index;
-    exec.eval_cache = bindings->eval_cache;
-    exec.warm_start = bindings->warm_start;
-    exec.table_floor = bindings->table_floor;
-  }
-
-  // Sinks flush on every exit path: a cancelled or deadline-stopped run
-  // still delivers its final progress snapshot and buffered trace events.
-  FlushOnExit flusher{exec.trace, sink.get()};
-
-  TraceRunBegin(exec.trace, AlgorithmName(request.algorithm));
-  MiningResult result;
-  switch (request.algorithm) {
-    case Algorithm::kMpfci: {
-      WorkStealingDfsFrontier frontier;
-      result = RunSearch(db, request.params, exec, frontier);
-      break;
-    }
-    case Algorithm::kMpfciBfs: {
-      LevelSyncBfsFrontier frontier;
-      result = RunSearch(db, request.params, exec, frontier);
-      break;
-    }
-    case Algorithm::kNaive: {
-      FlatCheckFrontier frontier;
-      result = RunSearch(db, request.params, exec, frontier);
-      break;
-    }
-    case Algorithm::kTopK: {
-      TopKFrontier frontier(request.top_k);
-      result = RunSearch(db, request.params, exec, frontier);
-      break;
-    }
-    case Algorithm::kPfi:
-      result = RunPfi(db, request, exec);
-      break;
-    case Algorithm::kExpectedSupport:
-      result = RunExpectedSupport(db, request, exec, /*fp_growth=*/false);
-      break;
-    case Algorithm::kExpectedSupportFpGrowth:
-      result = RunExpectedSupport(db, request, exec, /*fp_growth=*/true);
-      break;
-    case Algorithm::kBruteForce:
-      result = RunBruteForce(db, request, exec);
-      break;
-    case Algorithm::kItemExpectedSupport:
-    case Algorithm::kItemPfi:
-      break;  // Rejected above.
-  }
-
-  if (resuming) result.stats.resumed = true;
-  if (!result.ok() && result.status_message.empty()) {
-    result.status_message =
-        std::string("run stopped: ") + OutcomeName(result.outcome());
-  }
-  // A stopped run persists its state for a later resume. Algorithms
-  // without frontier capture (or runs stopped before the first drain)
-  // write a restart-only marker — resuming from it reruns from scratch,
-  // which is trivially bit-identical. The atomic save is retried with
-  // backoff; a persistent failure is reported in status_message but
-  // never changes the run's outcome (the in-memory result is still a
-  // verified partial answer).
-  if (save_requested && !result.ok() &&
-      result.outcome() != Outcome::kInvalidRequest) {
-    save_snapshot.algorithm = AlgorithmName(request.algorithm);
-    save_snapshot.fingerprint = fingerprint;
-    RetryPolicy retry;
-    retry.seed = request.params.seed;
-    const RetryResult saved = RetryWithBackoff(retry, [&] {
-      return SaveRunSnapshotAtomic(save_snapshot, request.snapshot.save_path);
-    });
-    if (saved.succeeded) {
-      result.stats.snapshot_bytes = SerializeRunSnapshot(save_snapshot).size();
-    } else {
-      result.status_message += "; snapshot save failed after " +
-                               std::to_string(saved.attempts) +
-                               " attempts: " + saved.last_error;
-    }
-  }
-  TraceRunEnd(exec.trace, AlgorithmName(request.algorithm),
-              result.itemsets.size(), result.stats.seconds);
-  return result;
+  return RunRequest(request, bindings, resuming ? &resume_snapshot : nullptr,
+                    fingerprint, [&](const ExecutionContext& exec) {
+                      return RunAlgorithm(db, request, exec);
+                    });
 }
 
 }  // namespace
@@ -502,32 +535,10 @@ MiningResult Mine(const ItemUncertainDatabase& db,
         "only");
   }
 
-  FlushOnExit flusher{request.trace, nullptr};
-  TraceRunBegin(request.trace, AlgorithmName(request.algorithm));
-  Stopwatch timer;
-  MiningResult result;
-  if (request.algorithm == Algorithm::kItemExpectedSupport) {
-    const std::vector<ExpectedSupportEntry> entries =
-        internal::MineExpectedSupportItemLevel(db, EffectiveMinEsup(request));
-    result.itemsets.reserve(entries.size());
-    for (const ExpectedSupportEntry& in : entries) {
-      result.itemsets.push_back(
-          FrequentEntry(in.items, in.expected_support));
-    }
-  } else {
-    const std::vector<ItemPfiEntry> entries = internal::MinePfiItemLevel(
-        db, request.params.min_sup, request.params.pfct);
-    result.itemsets.reserve(entries.size());
-    for (const ItemPfiEntry& in : entries) {
-      result.itemsets.push_back(FrequentEntry(in.items, in.pr_f));
-    }
-  }
-  result.Sort();
-  result.stats.seconds = timer.ElapsedSeconds();
-  result.stats.EmitTrace(request.trace);
-  TraceRunEnd(request.trace, AlgorithmName(request.algorithm),
-              result.itemsets.size(), result.stats.seconds);
-  return result;
+  return RunRequest(request, /*bindings=*/nullptr, /*resume=*/nullptr,
+                    /*fingerprint=*/0, [&](const ExecutionContext& exec) {
+                      return RunItemLevel(db, request, exec);
+                    });
 }
 
 }  // namespace pfci

@@ -6,8 +6,10 @@
 // (thread count, determinism), and an optional progress observer. Mine()
 // dispatches the paper's searches (MPFCI, MPFCI-BFS, Naive, top-k)
 // straight to their frontier policies behind RunSearch
-// (src/core/search/), and the flat miners (PFI, expected support,
-// brute force, item-level) through one shared run skeleton.
+// (src/core/search/) and the PFI and expected-support searches straight
+// to the kernel's flat enumeration (src/core/search/pfi_enumeration.h).
+// Both overloads run every algorithm inside one run skeleton (thread
+// pool, progress sink, fail-soft controller, trace events).
 //
 // Determinism contract: with execution.deterministic == true (default),
 // Mine() produces bit-identical MiningResult.itemsets — including sampled
@@ -31,6 +33,11 @@
 //   progress*          all                        interval >= 1
 //   budget             all                        see RunBudget
 //   cancel / trace     all                        optional, caller-owned
+//                                                 (esup-fp and the
+//                                                 item-level algorithms
+//                                                 poll budget, deadline
+//                                                 and cancel at run start
+//                                                 only)
 //   snapshot           tuple-level Mine()         paths require
 //                                                 execution.deterministic;
 //                                                 rejected by the

@@ -509,8 +509,8 @@ void FlatCheckFrontier::BuildCandidates(const SearchContext& ctx,
   const std::uint64_t nodes_before = result.stats.nodes_visited;
   pfis_ = EnumeratePfis(*ctx.db, ctx.params->min_sup, ctx.params->pfct,
                         /*use_chernoff=*/true, FrequencyMode::kExactDp,
-                        &result.stats, TidSetPolicyFor(*ctx.params), ctx.rt,
-                        ctx.exec);
+                        &result.stats, TidSetPolicyFor(*ctx.params),
+                        *ctx.exec);
   enumerated_nodes_ = result.stats.nodes_visited - nodes_before;
 }
 

@@ -28,6 +28,20 @@ bool FindDuplicateItem(const std::vector<Item>& items, Item* duplicate) {
   return true;
 }
 
+/// Parses one item token of line `line_number`. Returns "" on success, or
+/// the line-numbered error for a non-numeric id or one above kMaxItemId.
+std::string ParseItem(const std::string& token, int line_number, Item* item) {
+  const std::string where = "line " + std::to_string(line_number) + ": ";
+  unsigned int value = 0;
+  if (!ParseUint32(token, &value)) return where + "bad item '" + token + "'";
+  if (value > kMaxItemId) {
+    return where + "item id '" + token + "' exceeds the maximum item id " +
+           std::to_string(kMaxItemId);
+  }
+  *item = value;
+  return "";
+}
+
 }  // namespace
 
 bool SaveUncertainDatabase(const UncertainDatabase& db,
@@ -76,10 +90,10 @@ bool LoadUncertainDatabase(const std::string& path, UncertainDatabase* db,
     std::vector<Item> items;
     items.reserve(tokens.size() - 1);
     for (std::size_t i = 1; i < tokens.size(); ++i) {
-      unsigned int item = 0;
-      if (!ParseUint32(tokens[i], &item)) {
-        SetError(error, "line " + std::to_string(line_number) +
-                            ": bad item '" + tokens[i] + "'");
+      Item item = 0;
+      const std::string item_error = ParseItem(tokens[i], line_number, &item);
+      if (!item_error.empty()) {
+        SetError(error, item_error);
         *db = UncertainDatabase();
         return false;
       }
@@ -129,10 +143,10 @@ bool LoadExactTransactions(const std::string& path,
     if (stripped.empty() || stripped[0] == '#') continue;
     std::vector<Item> items;
     for (const std::string& token : SplitTokens(stripped)) {
-      unsigned int item = 0;
-      if (!ParseUint32(token, &item)) {
-        SetError(error, "line " + std::to_string(line_number) +
-                            ": bad item '" + token + "'");
+      Item item = 0;
+      const std::string item_error = ParseItem(token, line_number, &item);
+      if (!item_error.empty()) {
+        SetError(error, item_error);
         transactions->clear();
         return false;
       }

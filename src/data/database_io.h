@@ -24,8 +24,8 @@ bool SaveUncertainDatabase(const UncertainDatabase& db,
 /// on failure `*db` is left empty and `*error` (if non-null) describes the
 /// first problem with its line number. Rejected content: probabilities
 /// that are not finite numbers in (0, 1] (NaN, inf, 0, negative, > 1),
-/// probability-only lines, non-numeric items, and duplicate items within
-/// one transaction line.
+/// probability-only lines, non-numeric items, item ids above kMaxItemId,
+/// and duplicate items within one transaction line.
 bool LoadUncertainDatabase(const std::string& path, UncertainDatabase* db,
                            std::string* error = nullptr);
 
@@ -33,8 +33,9 @@ bool LoadUncertainDatabase(const std::string& path, UncertainDatabase* db,
 bool SaveExactTransactions(const std::vector<Itemset>& transactions,
                            const std::string& path);
 
-/// Reads a `.dat` file of exact transactions. Rejects non-numeric items
-/// and duplicate items within one line, with line-numbered errors.
+/// Reads a `.dat` file of exact transactions. Rejects non-numeric items,
+/// item ids above kMaxItemId, and duplicate items within one line, with
+/// line-numbered errors.
 bool LoadExactTransactions(const std::string& path,
                            std::vector<Itemset>* transactions,
                            std::string* error = nullptr);

@@ -104,8 +104,8 @@ bool ShouldBeDense(std::size_t size, std::size_t universe,
     case TidSetMode::kDense:
       return true;
     case TidSetMode::kAdaptive:
-      return universe >= policy.min_dense_universe &&
-             size * policy.dense_divisor >= universe;
+      return universe >= tidset_internal::kMinDenseUniverse &&
+             size * tidset_internal::kDenseDivisor >= universe;
   }
   return false;
 }

@@ -42,16 +42,11 @@ const char* TidSetModeName(TidSetMode mode);
 /// Parses "adaptive" | "sparse" | "dense"; returns false on anything else.
 bool ParseTidSetMode(const std::string& text, TidSetMode* mode);
 
-/// Representation policy shared by all TidSets of one index. The adaptive
-/// rule picks the bitmap when size * dense_divisor >= universe (a bitmap
-/// of u bits costs u/64 words; a sparse set of s 32-bit tids costs ~s/2
-/// words, so the bitmap is smaller from s >= u/32 on and its word-parallel
-/// operations win a little earlier), but never for tiny universes where a
-/// short merge beats any fixed setup cost.
+/// Representation policy shared by all TidSets of one index. Adaptive
+/// mode applies the fixed density rule of tidset_internal::kDenseDivisor
+/// and kMinDenseUniverse.
 struct TidSetPolicy {
   TidSetMode mode = TidSetMode::kAdaptive;
-  std::uint32_t dense_divisor = 16;
-  std::uint32_t min_dense_universe = 256;
 };
 
 /// A set of transaction ids over the universe [0, universe()).
@@ -148,6 +143,16 @@ bool operator==(const TidSet& a, const TidSet& b);
 bool operator==(const TidSet& a, const TidList& b);
 
 namespace tidset_internal {
+
+/// Adaptive-mode density rule: a set is a bitmap when size * kDenseDivisor
+/// >= universe. A bitmap of u bits costs u/64 words and a sparse set of s
+/// 32-bit tids ~s/2 words, so the bitmap is smaller from s >= u/32 on and
+/// its word-parallel operations win a little earlier.
+constexpr std::size_t kDenseDivisor = 16;
+
+/// Universes below this size stay sparse in adaptive mode: a short merge
+/// beats any fixed bitmap setup cost.
+constexpr std::size_t kMinDenseUniverse = 256;
 
 /// Size skew from which the sparse kernels switch from linear merge to
 /// galloping: per-element exponential search costs ~2 log2(skew)

@@ -23,11 +23,12 @@ std::vector<Item> UncertainDatabase::ItemUniverse() const {
   return universe;
 }
 
-Item UncertainDatabase::MaxItemPlusOne() const {
-  Item max_plus_one = 0;
+std::size_t UncertainDatabase::MaxItemPlusOne() const {
+  std::size_t max_plus_one = 0;
   for (const auto& t : transactions_) {
     if (!t.items.empty()) {
-      max_plus_one = std::max(max_plus_one, t.items.LastItem() + 1);
+      max_plus_one =
+          std::max(max_plus_one, std::size_t{t.items.LastItem()} + 1);
     }
   }
   return max_plus_one;

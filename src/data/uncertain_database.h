@@ -45,7 +45,8 @@ class UncertainDatabase {
   std::vector<Item> ItemUniverse() const;
 
   /// Largest item id + 1 (0 when empty); convenient for dense arrays.
-  Item MaxItemPlusOne() const;
+  /// A size, not an Item, so the largest 32-bit id cannot wrap it to 0.
+  std::size_t MaxItemPlusOne() const;
 
   /// Number of transactions whose itemset contains X ("count of an
   /// itemset", Definition 4.2).

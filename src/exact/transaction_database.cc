@@ -39,10 +39,12 @@ std::vector<Item> TransactionDatabase::ItemUniverse() const {
   return universe;
 }
 
-Item TransactionDatabase::MaxItemPlusOne() const {
-  Item max_plus_one = 0;
+std::size_t TransactionDatabase::MaxItemPlusOne() const {
+  std::size_t max_plus_one = 0;
   for (const Itemset& t : transactions_) {
-    if (!t.empty()) max_plus_one = std::max(max_plus_one, t.LastItem() + 1);
+    if (!t.empty()) {
+      max_plus_one = std::max(max_plus_one, std::size_t{t.LastItem()} + 1);
+    }
   }
   return max_plus_one;
 }

@@ -47,8 +47,8 @@ class TransactionDatabase {
   /// All distinct items, ascending.
   std::vector<Item> ItemUniverse() const;
 
-  /// Largest item id + 1 (0 when empty).
-  Item MaxItemPlusOne() const;
+  /// Largest item id + 1 (0 when empty); a size, so it cannot wrap.
+  std::size_t MaxItemPlusOne() const;
 
  private:
   std::vector<Itemset> transactions_;

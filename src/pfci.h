@@ -22,9 +22,9 @@
 //
 // Entry points by task:
 //  * Mining:     Mine (the one way in: unified dispatch over Algorithm +
-//                ExecutionPolicy). The building-block kernels MinePfi /
-//                MinePfiApproximate, MineExpectedSupport and
-//                MinePsupClosed stay callable on their own.
+//                ExecutionPolicy). MinePsupClosed, the probabilistic-
+//                support closed miner of the related work, stays
+//                callable on its own.
 //  * Serving:    MiningSession (repeated requests over one database:
 //                shared index, cross-request evaluation caches, batches
 //                and threshold sweeps via MineBatch; DESIGN.md §11).
@@ -47,14 +47,12 @@
 #include "src/core/brute_force.h"
 #include "src/core/closed_probability.h"
 #include "src/core/eval_cache.h"
-#include "src/core/expected_support_miner.h"
 #include "src/core/fcp_engine.h"
 #include "src/core/item_uncertain_miners.h"
 #include "src/core/mdnf_reduction.h"
 #include "src/core/mine.h"
 #include "src/core/mining_params.h"
 #include "src/core/mining_result.h"
-#include "src/core/pfi_miner.h"
 #include "src/core/probabilistic_support.h"
 #include "src/core/stream_miner.h"
 #include "src/data/database_io.h"

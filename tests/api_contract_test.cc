@@ -1,6 +1,7 @@
 // API contract tests: invalid-usage CHECKs fire (death tests), invalid
 // requests come back from Mine() as data, inert inputs are truly inert,
-// and the algorithms behind Mine() agree with the kernels they report.
+// and the flat algorithms behind Mine() report exactly the measures an
+// independent reference computes.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -11,9 +12,8 @@
 #include <string>
 #include <vector>
 
-#include "src/core/expected_support_miner.h"
+#include "src/core/brute_force.h"
 #include "src/core/mine.h"
-#include "src/core/pfi_miner.h"
 #include "src/core/request_io.h"
 #include "src/core/stream_miner.h"
 #include "src/data/item_uncertain_database.h"
@@ -240,14 +240,28 @@ TEST(ApiContract, MinePfiAlgorithmReportsFrequentProbabilities) {
   request.params.min_sup = 2;
   request.params.pfct = 0.1;
   const MiningResult result = Mine(db, request);
-  const std::vector<PfiEntry> pfis =
-      MinePfi(db, request.params.min_sup, request.params.pfct);
-  ASSERT_EQ(result.itemsets.size(), pfis.size());
-  for (std::size_t i = 0; i < pfis.size(); ++i) {
-    EXPECT_EQ(result.itemsets[i].items, pfis[i].items);
-    EXPECT_EQ(result.itemsets[i].pr_f, pfis[i].pr_f);
-    EXPECT_EQ(result.itemsets[i].fcp, 0.0);
+  // Reference: possible-world enumeration over every itemset of the
+  // 4-item universe; exactly those with PrF > pfct are reported.
+  std::size_t expected_count = 0;
+  for (unsigned mask = 1; mask < 16; ++mask) {
+    std::vector<Item> items;
+    for (Item i = 0; i < 4; ++i) {
+      if ((mask >> i) & 1u) items.push_back(i);
+    }
+    const Itemset x(std::move(items));
+    const double pr_f =
+        BruteForceItemsetProbabilities(db, x, request.params.min_sup).pr_f;
+    const PfciEntry* entry = result.Find(x);
+    if (pr_f > request.params.pfct) {
+      ++expected_count;
+      ASSERT_NE(entry, nullptr) << x.ToString();
+      EXPECT_NEAR(entry->pr_f, pr_f, 1e-9) << x.ToString();
+      EXPECT_EQ(entry->fcp, 0.0);
+    } else {
+      EXPECT_EQ(entry, nullptr) << x.ToString();
+    }
   }
+  EXPECT_EQ(result.itemsets.size(), expected_count);
 }
 
 TEST(ApiContract, MineExpectedSupportAlgorithmReportsExpectedSupports) {
@@ -257,13 +271,27 @@ TEST(ApiContract, MineExpectedSupportAlgorithmReportsExpectedSupports) {
   request.params.min_sup = 2;
   request.min_esup = 1.5;
   const MiningResult result = Mine(db, request);
-  const std::vector<ExpectedSupportEntry> expected =
-      MineExpectedSupport(db, request.min_esup);
-  ASSERT_EQ(result.itemsets.size(), expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(result.itemsets[i].items, expected[i].items);
-    EXPECT_EQ(result.itemsets[i].pr_f, expected[i].expected_support);
+  // Reference: the database's own expected support of every itemset of
+  // the 4-item universe; exactly those reaching min_esup are reported.
+  std::size_t expected_count = 0;
+  for (unsigned mask = 1; mask < 16; ++mask) {
+    std::vector<Item> items;
+    for (Item i = 0; i < 4; ++i) {
+      if ((mask >> i) & 1u) items.push_back(i);
+    }
+    const Itemset x(std::move(items));
+    const double esup = db.ExpectedSupport(x);
+    const PfciEntry* entry = result.Find(x);
+    if (esup >= request.min_esup) {
+      ++expected_count;
+      ASSERT_NE(entry, nullptr) << x.ToString();
+      EXPECT_NEAR(entry->pr_f, esup, 1e-12) << x.ToString();
+      EXPECT_EQ(entry->fcp, 0.0);
+    } else {
+      EXPECT_EQ(entry, nullptr) << x.ToString();
+    }
   }
+  EXPECT_EQ(result.itemsets.size(), expected_count);
 }
 
 TEST(ApiContract, ProgressCallbackFiresAndCountsItemsets) {

@@ -48,24 +48,12 @@ TEST(TransactionDatabase, SupportAndUniverse) {
   EXPECT_EQ(db.ItemUniverse(), (std::vector<Item>{0, 1, 2, 3, 4, 5}));
 }
 
-TEST(FpTree, SinglePathDetection) {
-  std::vector<WeightedItemList> rows;
-  rows.push_back({{0, 1, 2}, 2});
-  rows.push_back({{0, 1}, 1});
-  const FpTree tree(rows);
-  EXPECT_TRUE(tree.IsSinglePath());
-
-  rows.push_back({{3}, 1});
-  const FpTree branching(rows);
-  EXPECT_FALSE(branching.IsSinglePath());
-}
-
 TEST(FpTree, HeaderCountsAndPatternBase) {
-  std::vector<WeightedItemList> rows;
+  std::vector<WeightedItemList<std::size_t>> rows;
   rows.push_back({{0, 1, 2}, 2});
   rows.push_back({{0, 2}, 1});
   rows.push_back({{1, 2}, 3});
-  const FpTree tree(rows);
+  const FpTree<std::size_t> tree(rows);
   // Total counts: item0=3, item1=5, item2=6.
   for (const auto& entry : tree.header()) {
     if (entry.item == 0) EXPECT_EQ(entry.total_count, 3u);

@@ -3,7 +3,6 @@
 // dispatch), plus weighted-count semantics checks.
 #include <gtest/gtest.h>
 
-#include "src/core/expected_support_miner.h"
 #include "src/core/mine.h"
 #include "src/harness/dataset_factory.h"
 #include "src/util/random.h"

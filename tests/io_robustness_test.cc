@@ -9,6 +9,7 @@
 #include <fstream>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -195,13 +196,35 @@ TEST(IoRobustness, ExactLoaderRejectsNegativeItems) {
 TEST(IoRobustness, LargeItemIdsRoundTrip) {
   const std::string path = TempPath("pfci_large_ids.utd");
   UncertainDatabase db;
-  db.Add(Itemset{0, 4294967294u}, 0.5);
+  db.Add(Itemset{0, kMaxItemId}, 0.5);
   ASSERT_TRUE(SaveUncertainDatabase(db, path));
   UncertainDatabase loaded;
   std::string error;
   ASSERT_TRUE(LoadUncertainDatabase(path, &loaded, &error)) << error;
-  EXPECT_EQ(loaded.transaction(0).items, (Itemset{0, 4294967294u}));
+  EXPECT_EQ(loaded.transaction(0).items, (Itemset{0, kMaxItemId}));
+
+  // Ids past the bound are refused with a line-numbered error by both
+  // loaders: per-item arrays are sized by the largest id, and 2^32 - 1
+  // used to wrap MaxItemPlusOne() to 0.
+  const std::string exact_path = TempPath("pfci_large_ids.dat");
+  for (const std::string& id :
+       {std::to_string(std::uint64_t{kMaxItemId} + 1),
+        std::string("4294967295")}) {
+    WriteFile(path, "# header\n0.5 1\n0.5 " + id + "\n");
+    EXPECT_FALSE(LoadUncertainDatabase(path, &loaded, &error)) << id;
+    EXPECT_TRUE(loaded.empty());
+    EXPECT_NE(error.find("line 3"), std::string::npos) << error;
+    EXPECT_NE(error.find("maximum item id"), std::string::npos) << error;
+
+    std::vector<Itemset> transactions;
+    WriteFile(exact_path, "1 2\n" + id + "\n");
+    EXPECT_FALSE(LoadExactTransactions(exact_path, &transactions, &error))
+        << id;
+    EXPECT_TRUE(transactions.empty());
+    EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+  }
   std::remove(path.c_str());
+  std::remove(exact_path.c_str());
 }
 
 }  // namespace

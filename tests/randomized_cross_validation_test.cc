@@ -11,7 +11,7 @@
 #include "src/core/brute_force.h"
 #include "src/core/fcp_engine.h"
 #include "src/core/frequent_probability.h"
-#include "src/core/pfi_miner.h"
+#include "src/core/mine.h"
 #include "src/data/vertical_index.h"
 #include "src/harness/variants.h"
 #include "src/util/random.h"
@@ -128,10 +128,13 @@ TEST_P(RandomizedTrial, PfiMinerMatchesBruteForcePrF) {
   const UncertainDatabase db =
       RandomDb(rng, config.n, config.num_items, config.density);
 
-  const std::vector<PfiEntry> pfis =
-      MinePfi(db, config.min_sup, config.pfct);
+  MiningRequest request;
+  request.algorithm = Algorithm::kPfi;
+  request.params.min_sup = config.min_sup;
+  request.params.pfct = config.pfct;
+  const std::vector<PfciEntry> pfis = Mine(db, request).itemsets;
   // Every returned itemset's PrF matches brute force and exceeds pft.
-  for (const PfiEntry& entry : pfis) {
+  for (const PfciEntry& entry : pfis) {
     const WorldProbabilities truth =
         BruteForceItemsetProbabilities(db, entry.items, config.min_sup);
     EXPECT_NEAR(entry.pr_f, truth.pr_f, 1e-9);
@@ -142,7 +145,7 @@ TEST_P(RandomizedTrial, PfiMinerMatchesBruteForcePrF) {
       internal::BruteForceMinePfci(db, config.min_sup, config.pfct);
   for (const FcpGroundTruth& pfci : pfcis) {
     bool found = false;
-    for (const PfiEntry& entry : pfis) {
+    for (const PfciEntry& entry : pfis) {
       if (entry.items == pfci.items) {
         found = true;
         break;

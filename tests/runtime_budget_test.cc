@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/mine.h"
+#include "src/data/item_uncertain_database.h"
 #include "src/datagen/probability_assigner.h"
 #include "src/datagen/quest_generator.h"
 #include "src/exact/charm_miner.h"
@@ -196,6 +197,46 @@ TEST(RuntimeBudget, PreCancelledTokenStopsBeforeAnyWork) {
     EXPECT_FALSE(result.ok());
     EXPECT_TRUE(result.itemsets.empty());
     EXPECT_EQ(result.stats.nodes_visited, 0u);
+  }
+}
+
+TEST(RuntimeBudget, PreCancelledTokenStopsRunStartPollingAlgorithms) {
+  // esup-fp and the item-level algorithms poll only at run start. A
+  // pre-cancelled token stops them before any work, and the progress sink
+  // still flushes its final snapshot exactly once.
+  UncertainDatabase tuple_db;
+  tuple_db.Add(Itemset{0, 1, 2}, 0.9);
+  tuple_db.Add(Itemset{0, 1}, 0.6);
+  ItemUncertainDatabase item_db;
+  item_db.Add({{0, 0.9}, {1, 0.8}, {2, 0.5}});
+  item_db.Add({{0, 0.7}, {1, 0.6}});
+  CancelToken token;
+  token.RequestCancel();
+  for (const Algorithm algorithm :
+       {Algorithm::kExpectedSupportFpGrowth,
+        Algorithm::kItemExpectedSupport, Algorithm::kItemPfi}) {
+    SCOPED_TRACE(AlgorithmName(algorithm));
+    MiningRequest request;
+    request.algorithm = algorithm;
+    request.params.min_sup = 1;
+    request.params.pfct = 0.1;
+    int progress_calls = 0;
+    request.progress = [&](const MiningProgress&) { ++progress_calls; };
+    const auto mine = [&] {
+      return algorithm == Algorithm::kExpectedSupportFpGrowth
+                 ? Mine(tuple_db, request)
+                 : Mine(item_db, request);
+    };
+    const MiningResult full = mine();
+    ASSERT_EQ(full.outcome(), Outcome::kComplete);
+    ASSERT_FALSE(full.itemsets.empty());
+
+    request.cancel = &token;
+    progress_calls = 0;
+    const MiningResult result = mine();
+    EXPECT_EQ(result.outcome(), Outcome::kCancelled);
+    EXPECT_TRUE(result.itemsets.empty());
+    EXPECT_EQ(progress_calls, 1);
   }
 }
 

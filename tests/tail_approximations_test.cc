@@ -6,7 +6,8 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/pfi_miner.h"
+#include "src/core/mine.h"
+#include "src/core/search/pfi_enumeration.h"
 #include "src/harness/dataset_factory.h"
 #include "src/prob/poisson_binomial.h"
 #include "src/util/random.h"
@@ -92,11 +93,21 @@ TEST_P(ApproximationAccuracy, PoissonAccurateInSparseRegime) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ApproximationAccuracy,
                          ::testing::Range(0, 10));
 
-TEST(ApproximatePfiMiner, ExactModeReproducesMinePfi) {
+/// The PFI enumeration at pft 0.8 under frequency-evaluation `mode`.
+std::vector<PfiEntry> MinePfis(const UncertainDatabase& db,
+                               std::size_t min_sup, FrequencyMode mode) {
+  return EnumeratePfis(db, min_sup, 0.8, /*use_chernoff=*/true, mode,
+                       /*stats=*/nullptr, TidSetPolicy{}, ExecutionContext{});
+}
+
+TEST(ApproximatePfiMiner, ExactModeReproducesPfiAlgorithm) {
   const UncertainDatabase db = MakePaperExampleDb();
-  const auto exact = MinePfi(db, 2, 0.8);
-  const auto via_mode =
-      MinePfiApproximate(db, 2, 0.8, FrequencyMode::kExactDp);
+  MiningRequest request;
+  request.algorithm = Algorithm::kPfi;
+  request.params.min_sup = 2;
+  request.params.pfct = 0.8;
+  const std::vector<PfciEntry> exact = Mine(db, request).itemsets;
+  const auto via_mode = MinePfis(db, 2, FrequencyMode::kExactDp);
   ASSERT_EQ(via_mode.size(), exact.size());
   for (std::size_t i = 0; i < exact.size(); ++i) {
     EXPECT_EQ(via_mode[i].items, exact[i].items);
@@ -107,9 +118,8 @@ TEST(ApproximatePfiMiner, ExactModeReproducesMinePfi) {
 TEST(ApproximatePfiMiner, NormalModeNearExactAtScale) {
   const UncertainDatabase db = MakeUncertainQuest(BenchScale::kQuick);
   const std::size_t min_sup = AbsoluteMinSup(db.size(), 0.2);
-  const auto exact = MinePfi(db, min_sup, 0.8);
-  const auto approx =
-      MinePfiApproximate(db, min_sup, 0.8, FrequencyMode::kNormal);
+  const auto exact = MinePfis(db, min_sup, FrequencyMode::kExactDp);
+  const auto approx = MinePfis(db, min_sup, FrequencyMode::kNormal);
   // The symmetric difference must be a small fraction of the answer: only
   // borderline itemsets (PrF within the CLT error of 0.8) can flip.
   std::size_t common = 0;

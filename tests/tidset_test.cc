@@ -36,12 +36,12 @@ TEST(TidSetMode, Names) {
 }
 
 TEST(TidSet, AdaptiveRepresentationSelection) {
-  // Universe below min_dense_universe: always sparse, however dense.
+  // Universe below kMinDenseUniverse: always sparse, however dense.
   TidList all_small(128);
   for (Tid t = 0; t < 128; ++t) all_small[t] = t;
   EXPECT_FALSE(TidSet(all_small, 128).dense());
 
-  // Universe 1024, divisor 16: dense from size 64 up.
+  // Universe 1024, kDenseDivisor 16: dense from size 64 up.
   TidList just_below(63), at_threshold(64);
   for (Tid t = 0; t < 63; ++t) just_below[t] = t;
   for (Tid t = 0; t < 64; ++t) at_threshold[t] = t;

@@ -19,8 +19,15 @@ TEST(UmbrellaHeader, EndToEndSmoke) {
   params.pfct = 0.8;
 
   // Every miner family is reachable through the single include.
-  EXPECT_EQ(MinePfi(db, 2, 0.8).size(), 15u);
-  EXPECT_FALSE(MineExpectedSupport(db, 1.0).empty());
+  MiningRequest pfi;
+  pfi.params = params;
+  pfi.algorithm = Algorithm::kPfi;
+  EXPECT_EQ(Mine(db, pfi).itemsets.size(), 15u);
+  MiningRequest esup;
+  esup.params = params;
+  esup.algorithm = Algorithm::kExpectedSupport;
+  esup.min_esup = 1.0;
+  EXPECT_FALSE(Mine(db, esup).itemsets.empty());
   EXPECT_FALSE(MinePsupClosed(db, 2, 0.8).empty());
   EXPECT_NEAR(ExactClosedProbability(db, Itemset{0, 1, 2, 3}), 0.99, 1e-12);
 

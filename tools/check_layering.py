@@ -8,7 +8,7 @@ headers only from its own layer or layers below it.
 
 `src/core/search/` is part of `core` but is additionally the *kernel*
 underneath the miner entry points: it must not include the entry-point
-headers (mine.h, pfi_miner.h, ...) or anything from serve/, or the
+headers (mine.h, stream_miner.h, ...) or anything from serve/, or the
 "Mine() dispatches down into the kernel" inversion would silently rot
 back into a cycle.
 
@@ -56,10 +56,8 @@ ORACLE_PREFIX = "src/harness/oracle/"
 # (src/core/search/) composes upward into these, never the reverse.
 FACADE_HEADERS = {
     "src/core/mine.h",
-    "src/core/pfi_miner.h",
     "src/core/stream_miner.h",
     "src/core/brute_force.h",
-    "src/core/expected_support_miner.h",
     "src/core/item_uncertain_miners.h",
 }
 
