@@ -61,35 +61,34 @@ ApproxFcpResult ApproxFcp(double pr_f, const ExtensionEventSet& events,
     return result;
   }
 
-  // The sampler's per-sample loops index tids by dense position, so the
-  // tid-sets are materialized as sorted vectors once per call — a few
-  // allocations amortized over thousands of samples.
-  const TidList x_tids = events.x_tids().ToTidList();
+  const TidSet& x_tids = events.x_tids();
+  const std::size_t num_positions = x_tids.size();
   const VerticalIndex& index = events.index();
   const std::size_t min_sup = events.min_sup();
 
-  // Dense position of a tid within the sorted Tids(X).
-  const auto position_of = [&x_tids](Tid tid) {
-    return static_cast<std::size_t>(
-        std::lower_bound(x_tids.begin(), x_tids.end(), tid) - x_tids.begin());
-  };
-
-  std::vector<TidList> event_tids;
-  event_tids.reserve(m);
-  for (const ExtensionEvent& event : events.events()) {
-    event_tids.push_back(event.tids.ToTidList());
-  }
-
-  // Per-event membership masks over the positions of Tids(X); a sampled
-  // world ω (also a mask) lies in C_j iff mask_j covers ω (all present
-  // transactions contain e_j; the support condition then follows from the
-  // conditioning, which guarantees >= min_sup present transactions).
-  std::vector<PositionMask> event_mask;
-  event_mask.reserve(m);
-  for (const TidList& tids : event_tids) {
-    PositionMask mask(x_tids.size());
-    for (Tid tid : tids) mask.Set(position_of(tid));
-    event_mask.push_back(std::move(mask));
+  // Per-call position vectors and membership masks over the dense
+  // positions of Tids(X). positions[j][k] is the position within Tids(X)
+  // of the k-th tid of Tids(X+e_j), so a draw over Tids(X+e_j) lands in
+  // the world mask without any tid lookup. A sampled world ω (also a mask)
+  // lies in C_j iff event_mask[j] covers ω (all present transactions
+  // contain e_j; the support condition then follows from the conditioning,
+  // which guarantees >= min_sup present transactions). Both come from one
+  // merge walk of each Tids(X+e_j) ⊆ Tids(X) against Tids(X).
+  std::vector<Tid> x_order;
+  x_order.reserve(num_positions);
+  x_tids.ForEach([&x_order](Tid tid) { x_order.push_back(tid); });
+  std::vector<std::vector<std::uint32_t>> positions(m);
+  std::vector<PositionMask> event_mask(m, PositionMask(num_positions));
+  for (std::size_t j = 0; j < m; ++j) {
+    const TidSet& tids = events.events()[j].tids;
+    positions[j].reserve(tids.size());
+    std::uint32_t pos = 0;
+    tids.ForEach([&](Tid tid) {
+      while (x_order[pos] < tid) ++pos;
+      PFCI_DCHECK(x_order[pos] == tid);
+      positions[j].push_back(pos);
+      event_mask[j].Set(pos);
+    });
   }
 
   // Conditional world samplers, built lazily per event: an event that is
@@ -142,20 +141,16 @@ ApproxFcpResult ApproxFcp(double pr_f, const ExtensionEventSet& events,
     const std::uint64_t batch_samples =
         num_samples / num_batches + (b < num_samples % num_batches ? 1 : 0);
     Rng batch_rng(DeriveSeed(base_seed, b));
-    // Per-batch scratch: one world mask and indicator buffer, reused
-    // across the batch's samples.
-    PositionMask world(x_tids.size());
-    std::vector<std::uint8_t> indicator;
+    // Per-batch scratch: one world mask, reused across the batch's samples.
+    PositionMask world(num_positions);
     const auto sample_is_canonical = [&](std::size_t i, Rng& sample_rng) {
-      const TidList& tids = event_tids[i];
       // Conditional world given C_i: transactions of Tids(X) \ Tids(X+e_i)
       // are forced absent, the Tids(X+e_i) indicators are drawn
-      // conditioned on reaching min_sup.
-      sampler_of(i).Sample(sample_rng, &indicator);
+      // conditioned on reaching min_sup, straight into the world mask.
+      const std::uint32_t* position = positions[i].data();
       world.Clear();
-      for (std::size_t k = 0; k < tids.size(); ++k) {
-        if (indicator[k]) world.Set(position_of(tids[k]));
-      }
+      sampler_of(i).SampleEach(
+          sample_rng, [&](std::size_t k) { world.Set(position[k]); });
       // Canonical iff no earlier event also covers the world.
       for (std::size_t j = 0; j < i; ++j) {
         if (event_probs[j] > 0.0 && event_mask[j].Covers(world)) return false;

@@ -1,5 +1,10 @@
 #include "src/core/mining_params.h"
 
+#include <cstdint>
+#include <limits>
+
+#include "src/prob/karp_luby.h"
+
 namespace pfci {
 
 std::string ValidateParams(const MiningParams& params) {
@@ -16,6 +21,12 @@ std::string ValidateParams(const MiningParams& params) {
   }
   if (!(params.delta > 0.0 && params.delta < 1.0)) {
     return "delta must lie in (0, 1)";
+  }
+  if (KarpLubyRequiredSamples(1, params.epsilon, params.delta) ==
+      std::numeric_limits<std::uint64_t>::max()) {
+    return "epsilon is too small: the ApproxFCP sample count "
+           "ceil(4 ln(2/delta) / epsilon^2) exceeds 2^64 even for one "
+           "extension event";
   }
   return "";
 }

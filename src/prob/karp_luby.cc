@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "src/util/check.h"
 
@@ -12,9 +13,12 @@ std::uint64_t KarpLubyRequiredSamples(std::size_t k, double epsilon,
   PFCI_CHECK(epsilon > 0.0);
   PFCI_CHECK(delta > 0.0 && delta < 1.0);
   if (k == 0) return 0;
-  const double n = 4.0 * static_cast<double>(k) * std::log(2.0 / delta) /
-                   (epsilon * epsilon);
-  return static_cast<std::uint64_t>(std::ceil(n));
+  const double n = std::ceil(4.0 * static_cast<double>(k) *
+                             std::log(2.0 / delta) / (epsilon * epsilon));
+  // Converting a double at or beyond 2^64 (or +inf) is undefined.
+  constexpr double kTwoTo64 = 18446744073709551616.0;
+  if (!(n < kTwoTo64)) return std::numeric_limits<std::uint64_t>::max();
+  return static_cast<std::uint64_t>(n);
 }
 
 KarpLubyResult KarpLubyUnionEstimate(

@@ -22,7 +22,8 @@ namespace pfci {
 
 /// Number of samples guaranteeing relative error epsilon with confidence
 /// 1 - delta for k events: ceil(4 k ln(2/delta) / epsilon^2), as analysed
-/// in the paper's Sec. IV.B.4 time-complexity discussion.
+/// in the paper's Sec. IV.B.4 time-complexity discussion. Saturates to
+/// UINT64_MAX when the count does not fit (a tiny epsilon).
 std::uint64_t KarpLubyRequiredSamples(std::size_t k, double epsilon,
                                       double delta);
 

@@ -16,10 +16,6 @@ std::uint64_t SplitMix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t RotL(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -27,23 +23,6 @@ Rng::Rng(std::uint64_t seed) {
   for (auto& word : state_) word = SplitMix64(s);
   // Avoid the (astronomically unlikely) all-zero state.
   if ((state_[0] | state_[1] | state_[2] | state_[3]) == 0) state_[0] = 1;
-}
-
-std::uint64_t Rng::Next64() {
-  const std::uint64_t result = RotL(state_[0] + state_[3], 23) + state_[0];
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = RotL(state_[3], 45);
-  return result;
-}
-
-double Rng::NextDouble() {
-  // 53 random mantissa bits -> uniform double in [0, 1).
-  return static_cast<double>(Next64() >> 11) * 0x1.0p-53;
 }
 
 std::uint64_t Rng::NextBelow(std::uint64_t bound) {
@@ -61,12 +40,6 @@ std::int64_t Rng::NextInRange(std::int64_t lo, std::int64_t hi) {
   const std::uint64_t span =
       static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
   return lo + static_cast<std::int64_t>(NextBelow(span));
-}
-
-bool Rng::NextBernoulli(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return NextDouble() < p;
 }
 
 double Rng::NextGaussian() {

@@ -29,7 +29,10 @@ class Rng {
   result_type operator()() { return Next64(); }
 
   /// Uniform in [0, 1).
-  double NextDouble();
+  double NextDouble() {
+    // 53 random mantissa bits -> uniform double in [0, 1).
+    return static_cast<double>(Next64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform integer in [0, bound) for bound >= 1 (unbiased via rejection).
   std::uint64_t NextBelow(std::uint64_t bound);
@@ -38,7 +41,12 @@ class Rng {
   std::int64_t NextInRange(std::int64_t lo, std::int64_t hi);
 
   /// Bernoulli trial with success probability p (clamped to [0,1]).
-  bool NextBernoulli(double p);
+  /// Consumes one value only when 0 < p < 1.
+  bool NextBernoulli(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return NextDouble() < p;
+  }
 
   /// Standard normal via Marsaglia polar method.
   double NextGaussian();
@@ -92,7 +100,22 @@ class Rng {
   }
 
  private:
-  std::uint64_t Next64();
+  static std::uint64_t RotL(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
+  // Inline: the samplers draw one value per variable per sample.
+  std::uint64_t Next64() {
+    const std::uint64_t result = RotL(state_[0] + state_[3], 23) + state_[0];
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = RotL(state_[3], 45);
+    return result;
+  }
 
   std::uint64_t state_[4];
   bool has_spare_gaussian_ = false;

@@ -85,6 +85,31 @@ TEST(ApiContract, ValidateParamsReportsTheOffendingField) {
   EXPECT_NE(ValidateParams(params).find("delta"), std::string::npos);
 }
 
+TEST(ApiContract, EpsilonWhoseSampleCountOverflowsIsRefused) {
+  // ceil(4 ln(2/delta) / epsilon^2) must fit in 64 bits for one event;
+  // a smaller epsilon is refused before any sample count is cast.
+  MiningRequest request;
+  request.params.epsilon = 1e-8;
+  EXPECT_EQ(ValidateRequest(request), "");
+  for (double epsilon : {1e-10, 1e-200}) {
+    request.params.epsilon = epsilon;
+    EXPECT_NE(ValidateParams(request.params).find("epsilon"),
+              std::string::npos);
+    EXPECT_NE(ValidateRequest(request).find("epsilon"), std::string::npos);
+  }
+
+  UncertainDatabase db;
+  db.Add(Itemset{0, 1}, 0.9);
+  db.Add(Itemset{0}, 0.8);
+  request.params.epsilon = 1e-10;
+  request.params.exact_event_limit = 0;
+  const MiningResult result = Mine(db, request);
+  EXPECT_EQ(result.outcome(), Outcome::kInvalidRequest);
+  EXPECT_TRUE(result.itemsets.empty());
+  EXPECT_NE(result.status_message.find("epsilon"), std::string::npos)
+      << result.status_message;
+}
+
 TEST(ApiContract, ValidateRequestCoversRequestFields) {
   MiningRequest request;
   EXPECT_EQ(ValidateRequest(request), "");

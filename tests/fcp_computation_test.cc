@@ -105,6 +105,50 @@ TEST(FcpSampler, NoEventsReturnsPrF) {
   EXPECT_EQ(result.samples, 0u);
 }
 
+// X = {0} over 200 transactions: Tids(X) spans four 64-bit mask words.
+// Item i in 1..5 is missing from the five transactions t with t % 40 == i,
+// which are unlikely (p = 0.15), so the five extension events overlap and
+// the canonical test both accepts and rejects samples.
+UncertainDatabase MultiWordDb() {
+  Rng rng(2024);
+  UncertainDatabase db;
+  for (int t = 0; t < 200; ++t) {
+    std::vector<Item> row = {0};
+    for (Item i = 1; i <= 5; ++i) {
+      if (t % 40 != static_cast<int>(i)) row.push_back(i);
+    }
+    const double p = t % 40 <= 5 ? 0.15 : 0.5 + 0.4 * rng.NextDouble();
+    db.Add(Itemset(std::move(row)), p);
+  }
+  return db;
+}
+
+TEST(FcpSampler, EstimateIsPinned) {
+  // The sampled estimate is a pure function of the seed: these literals
+  // fix the draw sequence (which rng value decides which indicator, and
+  // which double it is compared with) in every tid-set representation.
+  const UncertainDatabase db = MultiWordDb();
+  for (TidSetMode mode :
+       {TidSetMode::kAdaptive, TidSetMode::kSparse, TidSetMode::kDense}) {
+    TidSetPolicy policy;
+    policy.mode = mode;
+    const VerticalIndex index(db, policy);
+    const FrequentProbability freq(index, 100);
+    const Itemset x{0};
+    const TidSet tids = index.TidsOf(x);
+    ASSERT_EQ(tids.size(), 200u);
+    const ExtensionEventSet events(index, freq, x, tids);
+    ASSERT_EQ(events.size(), 5u);
+    Rng rng(7);
+    const ApproxFcpResult result =
+        ApproxFcp(freq.PrF(tids), events, 0.2, 0.1, rng);
+    EXPECT_EQ(result.fnc, 0x1.d61b3deaee67cp-1) << TidSetModeName(mode);
+    EXPECT_EQ(result.fcp, 0x1.4f08032610c78p-4) << TidSetModeName(mode);
+    EXPECT_EQ(result.samples, 1498u) << TidSetModeName(mode);
+    EXPECT_EQ(result.successes, 620u) << TidSetModeName(mode);
+  }
+}
+
 TEST(FcpSampler, ConvergesToExactOnPaperExample) {
   const UncertainDatabase db = MakePaperExampleDb();
   const VerticalIndex index(db);

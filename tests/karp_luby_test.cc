@@ -2,6 +2,8 @@
 #include "src/prob/karp_luby.h"
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,6 +23,18 @@ TEST(KarpLubySamples, FormulaMatchesPaper) {
   EXPECT_EQ(KarpLubyRequiredSamples(10, 0.1, 0.1),
             static_cast<std::uint64_t>(
                 std::ceil(40.0 * std::log(20.0) / 0.01)));
+}
+
+TEST(KarpLubySamples, SaturatesInsteadOfOverflowing) {
+  // 4 * 10 * ln(20) / 1e-20 ~ 1.2e22 does not fit in 64 bits, and
+  // epsilon = 1e-200 squares to 0, making the count +inf: both saturate
+  // rather than casting an out-of-range double.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_EQ(KarpLubyRequiredSamples(10, 1e-10, 0.1), kMax);
+  EXPECT_EQ(KarpLubyRequiredSamples(1, 1e-10, 0.1), kMax);
+  EXPECT_EQ(KarpLubyRequiredSamples(10, 1e-200, 0.1), kMax);
+  // The largest counts that fit stay exact.
+  EXPECT_LT(KarpLubyRequiredSamples(1, 1e-8, 0.1), kMax);
 }
 
 TEST(KarpLubyEstimate, EmptyUnion) {
