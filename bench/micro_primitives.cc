@@ -34,6 +34,11 @@ std::vector<double> RandomProbs(std::size_t n, std::uint64_t seed) {
   return probs;
 }
 
+/// The ISA variant the Poisson-binomial DP dispatched to on this CPU.
+const char* DpIsa() {
+  return internal::RunnablePoissonBinomialKernels().front().isa;
+}
+
 void BM_PoissonBinomialTail(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const std::size_t threshold = n / 4;
@@ -42,8 +47,25 @@ void BM_PoissonBinomialTail(benchmark::State& state) {
     benchmark::DoNotOptimize(PoissonBinomialTailAtLeast(probs, threshold));
   }
   state.SetComplexityN(static_cast<std::int64_t>(n));
+  state.SetLabel(DpIsa());
 }
 BENCHMARK(BM_PoissonBinomialTail)->Range(64, 8192)->Complexity();
+
+/// The whole tail table up to n/4 (the EvalCache's one-pass form), with
+/// the DP row and table reused across iterations as the cache does.
+void BM_PoissonBinomialTailTable(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const std::vector<double> probs = RandomProbs(n, 1);
+  std::vector<double> dp;
+  std::vector<double> table;
+  for (auto _ : state) {
+    PoissonBinomialTailTable(probs.data(), n, n / 4, &dp, &table);
+    benchmark::DoNotOptimize(table.data());
+  }
+  state.SetComplexityN(static_cast<std::int64_t>(n));
+  state.SetLabel(DpIsa());
+}
+BENCHMARK(BM_PoissonBinomialTailTable)->Range(64, 8192)->Complexity();
 
 void BM_PoissonBinomialPmf(benchmark::State& state) {
   const std::vector<double> probs =
@@ -51,6 +73,7 @@ void BM_PoissonBinomialPmf(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(PoissonBinomialPmf(probs));
   }
+  state.SetLabel(DpIsa());
 }
 BENCHMARK(BM_PoissonBinomialPmf)->Range(64, 2048);
 

@@ -4,20 +4,208 @@
 
 #include "src/util/check.h"
 
+// The DP kernels below are compiled once per x86-64 ISA level and the widest
+// one this CPU runs is picked at first use. Multiversioning needs GCC 12's
+// ISA-level names in __builtin_cpu_supports, and a baseline compiled without
+// AVX2 (a baseline built with -march=... is already as wide as it gets, and
+// its extra ISA flags would keep the body from inlining into the v3 wrapper).
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
+    __GNUC__ >= 12 && !defined(__AVX2__)
+#define PFCI_PB_MULTIVERSION 1
+#else
+#define PFCI_PB_MULTIVERSION 0
+#endif
+
 namespace pfci {
 
-std::vector<double> PoissonBinomialPmf(const std::vector<double>& probs) {
-  std::vector<double> pmf(probs.size() + 1, 0.0);
+namespace {
+
+// Eight doubles: one AVX-512 register, two AVX2 registers or four SSE2
+// registers, depending on the ISA a kernel body is compiled for. Every lane
+// does the same IEEE multiplies and add as the scalar form, so the width
+// changes no bit; -ffp-contract=off on this file (src/CMakeLists.txt) keeps
+// the compiler from fusing them into FMAs, which would.
+typedef double Lanes __attribute__((vector_size(64)));
+constexpr std::size_t kLanes = sizeof(Lanes) / sizeof(double);
+
+/// One item's in-place state update over the band lo..top:
+/// dp[s] = dp[s]*(1-p) + dp[s-1]*p for s = top down to max(lo, 1), then
+/// dp[0] *= 1-p when lo == 0. Blocks of kLanes cells go top-down, so each
+/// block reads its neighbour dp[s-1] before the next block overwrites it,
+/// exactly as the descending scalar loop does. Returns the new lower band
+/// (see below).
+[[gnu::always_inline]] inline std::size_t StepStates(double* dp,
+                                                     std::size_t lo,
+                                                     std::size_t top,
+                                                     double p) {
+  const double q = 1.0 - p;
+  const std::size_t first = std::max<std::size_t>(lo, 1);
+  std::size_t s = top + 1;  // Cells s..top are updated.
+  while (s - first >= kLanes) {
+    s -= kLanes;
+    Lanes cur;
+    Lanes below;
+    __builtin_memcpy(&cur, dp + s, sizeof cur);
+    __builtin_memcpy(&below, dp + s - 1, sizeof below);
+    const Lanes next = cur * q + below * p;
+    __builtin_memcpy(dp + s, &next, sizeof next);
+  }
+  for (; s > first; --s) dp[s - 1] = dp[s - 1] * q + dp[s - 2] * p;
+  if (lo == 0) dp[0] *= q;
+  // The lower band. Every probability is >= 0, so a run of exact +0 cells
+  // at the bottom of the row stays +0 (0*(1-p) + 0*p == +0) and adds +0
+  // to any accumulator it feeds (x + +0 == x). Later updates start at the
+  // first cell that is not exactly zero; that cell still reads its zero
+  // neighbour, so no value changes by a bit.
+  while (lo < top && dp[lo] == 0.0) ++lo;
+  return lo;
+}
+
+/// tail[t] += dp[t-1] * p for t = lo..hi (each cell independent).
+[[gnu::always_inline]] inline void Absorb(double* tail, const double* dp,
+                                          std::size_t lo, std::size_t hi,
+                                          double p) {
+  std::size_t t = lo;
+  for (; t + kLanes <= hi + 1; t += kLanes) {
+    Lanes acc;
+    Lanes below;
+    __builtin_memcpy(&acc, tail + t, sizeof acc);
+    __builtin_memcpy(&below, dp + t - 1, sizeof below);
+    acc += below * p;
+    __builtin_memcpy(tail + t, &acc, sizeof acc);
+  }
+  for (; t <= hi; ++t) tail[t] += dp[t - 1] * p;
+}
+
+[[gnu::always_inline]] inline void PmfBody(const double* probs, std::size_t n,
+                                           std::vector<double>* out) {
+  out->assign(n + 1, 0.0);
+  double* pmf = out->data();
   pmf[0] = 1.0;
+  std::size_t lo = 0;     // Cells below lo are exactly zero.
   std::size_t upper = 0;  // Highest index with possibly non-zero mass.
-  for (double p : probs) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const double p = probs[i];
     PFCI_DCHECK(p >= 0.0 && p <= 1.0);
     ++upper;
-    for (std::size_t s = upper; s > 0; --s) {
-      pmf[s] = pmf[s] * (1.0 - p) + pmf[s - 1] * p;
-    }
-    pmf[0] *= (1.0 - p);
+    lo = StepStates(pmf, lo, upper, p);
   }
+}
+
+[[gnu::always_inline]] inline double TailAtLeastBody(
+    const double* probs, std::size_t n, std::size_t threshold,
+    std::vector<double>* dp_scratch) {
+  if (threshold == 0) return 1.0;
+  if (threshold > n) return 0.0;
+
+  // dp[s] = Pr{partial sum == s} for s < threshold; `reached` absorbs all
+  // probability mass that has attained the threshold.
+  dp_scratch->assign(threshold, 0.0);
+  double* dp = dp_scratch->data();
+  dp[0] = 1.0;
+  double reached = 0.0;
+  std::size_t lo = 0;     // Cells below lo are exactly zero.
+  std::size_t upper = 0;  // Highest state index that can currently be live.
+  for (std::size_t i = 0; i < n; ++i) {
+    const double p = probs[i];
+    PFCI_DCHECK(p >= 0.0 && p <= 1.0);
+    // dp[threshold-1] is zero until that state becomes reachable, so the
+    // absorption step is always safe.
+    reached += dp[threshold - 1] * p;
+    const std::size_t top = std::min(upper + 1, threshold - 1);
+    lo = StepStates(dp, lo, top, p);
+    upper = top;
+  }
+  return reached;
+}
+
+[[gnu::always_inline]] inline void TailTableBody(
+    const double* probs, std::size_t n, std::size_t threshold,
+    std::vector<double>* dp_scratch, std::vector<double>* table) {
+  table->assign(threshold + 1, 0.0);
+  (*table)[0] = 1.0;  // threshold 0 is certain, as in the direct form.
+  if (threshold == 0) return;
+  // Thresholds above n keep their exact-zero initialization (the direct
+  // form returns 0.0 before touching the DP), so the shared DP row only
+  // needs states 0..cap-1.
+  const std::size_t cap = std::min(threshold, n);
+  if (cap == 0) return;
+  dp_scratch->assign(cap, 0.0);
+  double* dp = dp_scratch->data();
+  double* tail = table->data();
+  dp[0] = 1.0;
+  std::size_t lo = 0;     // Cells below lo are exactly zero.
+  std::size_t upper = 0;  // Highest state index that can currently be live.
+  for (std::size_t i = 0; i < n; ++i) {
+    const double p = probs[i];
+    PFCI_DCHECK(p >= 0.0 && p <= 1.0);
+    // One absorption per threshold, before the state update — the same
+    // point in the item loop where a direct run at threshold t executes
+    // `reached += dp[t - 1] * p`. Thresholds whose state t-1 lies outside
+    // the live band lo..upper would add +0 there, so they are skipped.
+    Absorb(tail, dp, lo + 1, std::min(upper + 1, cap), p);
+    const std::size_t top = std::min(upper + 1, cap - 1);
+    lo = StepStates(dp, lo, top, p);
+    upper = top;
+  }
+}
+
+// One thin wrapper per entry point and ISA; each inlines the shared body.
+#define PFCI_PB_KERNELS(name, isa, ...)                                     \
+  __VA_ARGS__ double TailAtLeast_##name(const double* probs, std::size_t n, \
+                                        std::size_t threshold,              \
+                                        std::vector<double>* dp_scratch) {  \
+    return TailAtLeastBody(probs, n, threshold, dp_scratch);                \
+  }                                                                         \
+  __VA_ARGS__ void TailTable_##name(const double* probs, std::size_t n,     \
+                                    std::size_t threshold,                  \
+                                    std::vector<double>* dp_scratch,        \
+                                    std::vector<double>* table) {           \
+    TailTableBody(probs, n, threshold, dp_scratch, table);                  \
+  }                                                                         \
+  __VA_ARGS__ void Pmf_##name(const double* probs, std::size_t n,           \
+                              std::vector<double>* pmf) {                   \
+    PmfBody(probs, n, pmf);                                                 \
+  }                                                                         \
+  constexpr internal::PoissonBinomialKernels k##name{                      \
+      isa, TailAtLeast_##name, TailTable_##name, Pmf_##name};
+
+PFCI_PB_KERNELS(Baseline, "baseline")
+#if PFCI_PB_MULTIVERSION
+PFCI_PB_KERNELS(V3, "x86-64-v3", [[gnu::target("arch=x86-64-v3")]])
+PFCI_PB_KERNELS(V4, "x86-64-v4", [[gnu::target("arch=x86-64-v4")]])
+#endif
+
+#undef PFCI_PB_KERNELS
+
+/// The variant the public entry points run: the widest this CPU supports.
+const internal::PoissonBinomialKernels& Kernels() {
+  return internal::RunnablePoissonBinomialKernels().front();
+}
+
+}  // namespace
+
+namespace internal {
+
+std::span<const PoissonBinomialKernels> RunnablePoissonBinomialKernels() {
+  static const std::vector<PoissonBinomialKernels> runnable = [] {
+    std::vector<PoissonBinomialKernels> variants;
+#if PFCI_PB_MULTIVERSION
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("x86-64-v4")) variants.push_back(kV4);
+    if (__builtin_cpu_supports("x86-64-v3")) variants.push_back(kV3);
+#endif
+    variants.push_back(kBaseline);
+    return variants;
+  }();
+  return runnable;
+}
+
+}  // namespace internal
+
+std::vector<double> PoissonBinomialPmf(const std::vector<double>& probs) {
+  std::vector<double> pmf;
+  Kernels().pmf(probs.data(), probs.size(), &pmf);
   return pmf;
 }
 
@@ -31,64 +219,14 @@ double PoissonBinomialTailAtLeast(const std::vector<double>& probs,
 double PoissonBinomialTailAtLeast(const double* probs, std::size_t n,
                                   std::size_t threshold,
                                   std::vector<double>* dp_scratch) {
-  if (threshold == 0) return 1.0;
-  if (threshold > n) return 0.0;
-
-  // dp[s] = Pr{partial sum == s} for s < threshold; `reached` absorbs all
-  // probability mass that has attained the threshold.
-  dp_scratch->assign(threshold, 0.0);
-  double* dp = dp_scratch->data();
-  dp[0] = 1.0;
-  double reached = 0.0;
-  std::size_t upper = 0;  // Highest state index that can currently be live.
-  for (std::size_t i = 0; i < n; ++i) {
-    const double p = probs[i];
-    PFCI_DCHECK(p >= 0.0 && p <= 1.0);
-    // dp[threshold-1] is zero until that state becomes reachable, so the
-    // absorption step is always safe.
-    reached += dp[threshold - 1] * p;
-    const std::size_t top = std::min(upper + 1, threshold - 1);
-    for (std::size_t s = top; s > 0; --s) {
-      dp[s] = dp[s] * (1.0 - p) + dp[s - 1] * p;
-    }
-    dp[0] *= (1.0 - p);
-    upper = top;
-  }
-  return reached;
+  return Kernels().tail_at_least(probs, n, threshold, dp_scratch);
 }
 
 void PoissonBinomialTailTable(const double* probs, std::size_t n,
                               std::size_t threshold,
                               std::vector<double>* dp_scratch,
                               std::vector<double>* table) {
-  table->assign(threshold + 1, 0.0);
-  (*table)[0] = 1.0;  // threshold 0 is certain, as in the direct form.
-  if (threshold == 0) return;
-  // Thresholds above n keep their exact-zero initialization (the direct
-  // form returns 0.0 before touching the DP), so the shared DP row only
-  // needs states 0..cap-1.
-  const std::size_t cap = std::min(threshold, n);
-  if (cap == 0) return;
-  dp_scratch->assign(cap, 0.0);
-  double* dp = dp_scratch->data();
-  double* tail = table->data();
-  dp[0] = 1.0;
-  std::size_t upper = 0;  // Highest state index that can currently be live.
-  for (std::size_t i = 0; i < n; ++i) {
-    const double p = probs[i];
-    PFCI_DCHECK(p >= 0.0 && p <= 1.0);
-    // One absorption per threshold, before the state update — the same
-    // point in the item loop where a direct run at threshold t executes
-    // `reached += dp[t - 1] * p` (including its additions of exact zeros
-    // while state t-1 is still unreachable).
-    for (std::size_t t = 1; t <= cap; ++t) tail[t] += dp[t - 1] * p;
-    const std::size_t top = std::min(upper + 1, cap - 1);
-    for (std::size_t s = top; s > 0; --s) {
-      dp[s] = dp[s] * (1.0 - p) + dp[s - 1] * p;
-    }
-    dp[0] *= (1.0 - p);
-    upper = top;
-  }
+  Kernels().tail_table(probs, n, threshold, dp_scratch, table);
 }
 
 std::vector<double> PoissonBinomialTailTable(const std::vector<double>& probs,

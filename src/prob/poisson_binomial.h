@@ -10,9 +10,16 @@
 #define PFCI_PROB_POISSON_BINOMIAL_H_
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace pfci {
+
+// Every DP below is one kernel body compiled for several x86-64 ISA levels
+// (AVX-512, AVX2, baseline); the widest this CPU runs is picked once, at
+// first use. Each variant performs the same IEEE operations in the same
+// order on every cell, so results are bit-identical whichever runs (see
+// docs/ALGORITHM.md §1.1).
 
 /// Full probability mass function of sum(Bernoulli(p_i)).
 /// Returns a vector of size n+1 where element s is Pr{sum == s}.
@@ -67,6 +74,29 @@ double PoissonBinomialMean(const std::vector<double>& probs);
 
 /// Variance of the sum (sum of p_i (1 - p_i)).
 double PoissonBinomialVariance(const std::vector<double>& probs);
+
+namespace internal {
+
+/// One compilation of the DP kernels, named by the ISA level it targets
+/// ("x86-64-v4", "x86-64-v3" or "baseline"). The entries behave exactly
+/// as the public functions of the same name.
+struct PoissonBinomialKernels {
+  const char* isa;
+  double (*tail_at_least)(const double* probs, std::size_t n,
+                          std::size_t threshold,
+                          std::vector<double>* dp_scratch);
+  void (*tail_table)(const double* probs, std::size_t n, std::size_t threshold,
+                     std::vector<double>* dp_scratch,
+                     std::vector<double>* table);
+  void (*pmf)(const double* probs, std::size_t n, std::vector<double>* pmf);
+};
+
+/// The variants this CPU can run, widest first; the public functions run
+/// the first. The last is always the baseline. Exposed so tests can hold
+/// every variant to the baseline's bits.
+std::span<const PoissonBinomialKernels> RunnablePoissonBinomialKernels();
+
+}  // namespace internal
 
 }  // namespace pfci
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <memory>
 #include <utility>
 
@@ -89,13 +90,13 @@ MiningSession::~MiningSession() {
 void MiningSession::DrainSubmitted(State& state) {
   // Swap out under the lock, join outside it: a worker finishing during
   // the join must not deadlock trying to touch the thread list.
-  std::vector<std::thread> workers;
+  std::vector<State::SubmitWorker> workers;
   {
     std::lock_guard<std::mutex> lock(state.submit_mutex);
-    workers.swap(state.submit_threads);
+    workers.swap(state.submit_workers);
   }
-  for (std::thread& worker : workers) {
-    if (worker.joinable()) worker.join();
+  for (State::SubmitWorker& worker : workers) {
+    if (worker.thread.joinable()) worker.thread.join();
   }
 }
 
@@ -232,10 +233,21 @@ RunHandle MiningSession::Submit(const MiningRequest& request) {
   State* state = state_.get();
   std::thread worker(&MiningSession::RunSubmitted, state, ticket, request,
                      Stopwatch());
+  // Reap workers that have published their result: they are past the
+  // latch signal, so joining them waits only for the thread to exit.
+  std::vector<State::SubmitWorker> finished;
   {
     std::lock_guard<std::mutex> lock(state->submit_mutex);
-    state->submit_threads.push_back(std::move(worker));
+    std::vector<State::SubmitWorker>& workers = state->submit_workers;
+    const auto first_finished = std::partition(
+        workers.begin(), workers.end(), [](const State::SubmitWorker& w) {
+          return !w.ticket->latch.done();
+        });
+    std::move(first_finished, workers.end(), std::back_inserter(finished));
+    workers.erase(first_finished, workers.end());
+    workers.push_back({std::move(worker), ticket});
   }
+  for (State::SubmitWorker& done : finished) done.thread.join();
   return RunHandle(std::move(ticket));
 }
 

@@ -134,6 +134,12 @@ class MiningSession {
   /// run. The handle owns cancellation (RunHandle::Cancel), so a request
   /// carrying its own cancel token is answered kInvalidRequest. Results
   /// are bit-identical to a synchronous Mine() of the same request.
+  ///
+  /// Worker lifetime: each call also joins the workers of earlier
+  /// Submits that have already published their result (a join that
+  /// waits only for the thread to exit). A session therefore holds a
+  /// thread per run still in flight or finished since the last Submit,
+  /// not one per run ever submitted. The destructor joins the rest.
   RunHandle Submit(const MiningRequest& request);
 
   /// Serves a whole batch with shared-scan planning (DESIGN.md §15):
@@ -193,10 +199,18 @@ class MiningSession {
     std::size_t queued = 0;
     std::uint64_t rejected = 0;
 
-    /// Submit() worker threads, joined by DrainSubmitted (destructor /
-    /// move-assignment). Guarded by submit_mutex.
+    /// One Submit() worker and the ticket it signals when it finishes.
+    struct SubmitWorker {
+      std::thread thread;
+      std::shared_ptr<internal::RunTicket> ticket;
+    };
+
+    /// Submit() workers not yet joined. Each Submit() joins the ones
+    /// whose ticket is done, so finished threads do not pile up over a
+    /// long-lived session; DrainSubmitted (destructor / move-assignment)
+    /// joins the rest. Guarded by submit_mutex.
     std::mutex submit_mutex;
-    std::vector<std::thread> submit_threads;
+    std::vector<SubmitWorker> submit_workers;
   };
 
   explicit MiningSession(std::unique_ptr<State> state)

@@ -1,8 +1,13 @@
 // Unit tests for the Poisson-binomial distribution primitives.
 #include "src/prob/poisson_binomial.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -112,6 +117,174 @@ TEST(PoissonBinomialTail, MonotoneInProbabilities) {
   std::vector<double> bumped = base;
   bumped[0] = 0.9;
   EXPECT_GE(PoissonBinomialTailAtLeast(bumped, 2), before);
+}
+
+/// ---- The DP kernels are bit-identical on every ISA variant ----
+
+void ExpectSameBits(const std::vector<double>& want,
+                    const std::vector<double>& got, const std::string& what) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(want[i]),
+              std::bit_cast<std::uint64_t>(got[i]))
+        << what << " [" << i << "]: " << want[i] << " vs " << got[i];
+  }
+}
+
+/// Every entry point of `kernels` equals the baseline's bits on `probs`
+/// at each threshold in `thresholds`.
+void ExpectVariantMatchesBaseline(
+    const internal::PoissonBinomialKernels& kernels,
+    const std::vector<double>& probs,
+    const std::vector<std::size_t>& thresholds, const std::string& label) {
+  const internal::PoissonBinomialKernels& baseline =
+      internal::RunnablePoissonBinomialKernels().back();
+  const std::string what =
+      std::string(kernels.isa) + " " + label + " n=" +
+      std::to_string(probs.size());
+  std::vector<double> want;
+  std::vector<double> got;
+  std::vector<double> dp;
+  baseline.pmf(probs.data(), probs.size(), &want);
+  kernels.pmf(probs.data(), probs.size(), &got);
+  ExpectSameBits(want, got, what + " pmf");
+  for (std::size_t t : thresholds) {
+    const std::string at = what + " t=" + std::to_string(t);
+    ExpectSameBits(
+        {baseline.tail_at_least(probs.data(), probs.size(), t, &dp)},
+        {kernels.tail_at_least(probs.data(), probs.size(), t, &dp)},
+        at + " tail");
+    baseline.tail_table(probs.data(), probs.size(), t, &dp, &want);
+    kernels.tail_table(probs.data(), probs.size(), t, &dp, &got);
+    ExpectSameBits(want, got, at + " table");
+  }
+}
+
+TEST(PoissonBinomial, KernelsAgreeBitwiseOnEveryIsa) {
+  const auto variants = internal::RunnablePoissonBinomialKernels();
+  ASSERT_FALSE(variants.empty());
+  EXPECT_EQ(std::string(variants.back().isa), "baseline");
+
+  std::vector<std::pair<std::string, std::vector<double>>> cases;
+  // Gaussian probabilities (clamped to [0, 1]) up to n = 4096, and many
+  // small instances.
+  for (std::uint64_t seed = 1; seed <= 70; ++seed) {
+    Rng rng(seed);
+    const std::size_t n = 1 + rng.NextBelow(seed <= 6 ? 4096 : 300);
+    const double mean = rng.NextDouble();
+    std::vector<double> probs(n);
+    for (double& p : probs) {
+      p = std::clamp(rng.NextGaussian(mean, 0.25), 0.0, 1.0);
+    }
+    cases.emplace_back("gaussian seed=" + std::to_string(seed), probs);
+  }
+  // Certain and impossible transactions mixed with ordinary ones.
+  {
+    Rng rng(71);
+    std::vector<double> probs(257);
+    for (double& p : probs) {
+      const double u = rng.NextDouble();
+      p = u < 0.3 ? 0.0 : u < 0.6 ? 1.0 : rng.NextDouble();
+    }
+    cases.emplace_back("zeros and ones", probs);
+    cases.emplace_back("all ones", std::vector<double>(100, 1.0));
+    cases.emplace_back("all zeros", std::vector<double>(100, 0.0));
+  }
+  // Subnormal probabilities down to the smallest positive double.
+  {
+    const double tiny = std::numeric_limits<double>::denorm_min();
+    std::vector<double> probs = {tiny, 0.5, 1e-310, 0.25, tiny * 3,
+                                 0.9, 2.2e-308, 0.75, 1e-320};
+    for (int i = 0; i < 40; ++i) probs.push_back(i % 2 ? tiny : 0.5);
+    cases.emplace_back("subnormal", probs);
+  }
+  // Low cells that underflow to exact zero: 1 - p = 2^-53 drives the
+  // bottom states below the subnormal range within ~21 items, so the
+  // kernels run with a growing lower band of exact zeros.
+  {
+    const double near_one = 1.0 - std::ldexp(1.0, -53);
+    std::vector<double> probs(120, near_one);
+    cases.emplace_back("underflow", probs);
+    for (std::size_t i = 0; i < probs.size(); i += 7) probs[i] = 0.5;
+    cases.emplace_back("underflow mixed", probs);
+    std::vector<double> ones_first(60, 1.0);
+    ones_first.resize(200, 0.3);
+    cases.emplace_back("ones then 0.3", ones_first);
+  }
+
+  for (const auto& [label, probs] : cases) {
+    const std::size_t n = probs.size();
+    Rng rng(n);
+    std::vector<std::size_t> thresholds = {0, 1, n, n + 1};
+    for (int k = 0; k < 3; ++k) thresholds.push_back(1 + rng.NextBelow(n));
+    for (const internal::PoissonBinomialKernels& kernels : variants) {
+      ExpectVariantMatchesBaseline(kernels, probs, thresholds, label);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    if (n > 128) continue;
+    // The table replays each direct run: table[t] == TailAtLeast(t).
+    for (const internal::PoissonBinomialKernels& kernels : variants) {
+      std::vector<double> dp;
+      std::vector<double> table;
+      kernels.tail_table(probs.data(), n, n + 1, &dp, &table);
+      for (std::size_t t = 0; t <= n + 1; ++t) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(table[t]),
+                  std::bit_cast<std::uint64_t>(
+                      kernels.tail_at_least(probs.data(), n, t, &dp)))
+            << kernels.isa << " " << label << " t=" << t;
+      }
+    }
+  }
+}
+
+TEST(PoissonBinomial, TailIsPinned) {
+  // Values captured on the scalar DP before the ISA variants existed.
+  // Fusing the DP's multiply-add into an FMA changes every one of them,
+  // so this fails if poisson_binomial.cc loses -ffp-contract=off.
+  struct Pinned {
+    std::uint64_t seed;  // n in [1, 400], threshold in [1, n], uniform p
+    std::size_t n;
+    std::size_t threshold;
+    double tail;        // PoissonBinomialTailAtLeast(probs, threshold)
+    double half_table;  // PoissonBinomialTailTable(...)[threshold / 2]
+    double pmf;         // PoissonBinomialPmf(probs)[threshold]
+  };
+  const Pinned kPinned[] = {
+      {1, 188, 50, 0x1.fffffffffef79p-1, 0x1.ffffffffffffep-1,
+       0x1.6f401256232bdp-40},
+      {20, 225, 112, 0x1.b9664272ad7f3p-2, 0x1.0000000000003p+0,
+       0x1.02d8c97491338p-4},
+      {22, 272, 16, 0x1.ffffffffffffcp-1, 0x1p+0, 0x1.b6f2a81f74b35p-262},
+      {25, 361, 337, 0x1.ce7e38f566ae5p-348, 0x1.e4cbe46be47e8p-1,
+       0x1.c3f6f9487b607p-348},
+  };
+  for (const Pinned& pinned : kPinned) {
+    SCOPED_TRACE("seed " + std::to_string(pinned.seed));
+    Rng rng(pinned.seed);
+    const std::size_t n = 1 + rng.NextBelow(400);
+    const std::size_t threshold = 1 + rng.NextBelow(n);
+    ASSERT_EQ(n, pinned.n);
+    ASSERT_EQ(threshold, pinned.threshold);
+    std::vector<double> probs(n);
+    for (double& p : probs) p = rng.NextDouble();
+    const std::vector<double> table =
+        PoissonBinomialTailTable(probs, threshold);
+    ExpectSameBits({pinned.tail, pinned.half_table, pinned.tail, pinned.pmf},
+                   {PoissonBinomialTailAtLeast(probs, threshold),
+                    table[threshold / 2], table[threshold],
+                    PoissonBinomialPmf(probs)[threshold]},
+                   "pinned");
+  }
+  // Thirty near-certain items underflow the bottom states to exact zero
+  // (the lower band the kernels skip) with subnormal mass right above it.
+  std::vector<double> probs(30, 1.0 - std::ldexp(1.0, -40));
+  probs.resize(60, 0.5);
+  const std::vector<double> pmf = PoissonBinomialPmf(probs);
+  ExpectSameBits({0.0, 0x0.000000006b0dp-1022, 0x1.1655000000d56p-1013,
+                  0x1.fffffff7fffffp-1, 0x1.fffffff7fffffp-1},
+                 {pmf[3], pmf[4], pmf[5], PoissonBinomialTailAtLeast(probs, 31),
+                  PoissonBinomialTailTable(probs, 45)[31]},
+                 "lower band");
 }
 
 }  // namespace

@@ -753,6 +753,61 @@ TEST(MiningSession, ConcurrentSubmitsAllMatchTheirReferences) {
   }
 }
 
+/// Lines in /proc/self/maps: each live thread stack adds a mapping and a
+/// guard page, so a pile of finished-but-unjoined Submit workers shows
+/// up here. -1 where the file does not exist.
+long MappingCount() {
+  std::FILE* maps = std::fopen("/proc/self/maps", "r");
+  if (maps == nullptr) return -1;
+  long lines = 0;
+  for (int c = std::fgetc(maps); c != EOF; c = std::fgetc(maps)) {
+    if (c == '\n') ++lines;
+  }
+  std::fclose(maps);
+  return lines;
+}
+
+TEST(MiningSession, SequentialSubmitsDoNotAccumulateThreads) {
+  if (MappingCount() < 0) GTEST_SKIP() << "no /proc/self/maps";
+  const UncertainDatabase db = MakePaperExampleDb();
+  MiningSession session = MiningSession::Open(db);
+  const MiningRequest request = BaseRequest(Algorithm::kMpfci, 2);
+  const MiningResult reference = Mine(db, request);
+  // Warm up: the first runs map the allocator arenas and index caches.
+  for (int i = 0; i < 20; ++i) session.Submit(request).Wait();
+  const long before = MappingCount();
+  for (int i = 0; i < 2000; ++i) {
+    const RunHandle handle = session.Submit(request);
+    const MiningResult& result = handle.Wait();
+    ASSERT_EQ(result.outcome(), Outcome::kComplete) << result.status_message;
+    if (i == 0) ExpectIdenticalResults(reference, result);
+  }
+  // One finished worker per Submit would add ~2 mappings each (~4000).
+  EXPECT_LT(MappingCount() - before, 64);
+
+  // Several clients reaping each other's finished workers concurrently.
+  // The first round settles the thread-stack cache at its concurrent
+  // high-water mark; the second must not grow past it.
+  std::atomic<int> incomplete{0};
+  const auto concurrent_round = [&] {
+    std::vector<std::thread> clients;
+    for (int c = 0; c < 4; ++c) {
+      clients.emplace_back([&] {
+        for (int i = 0; i < 100; ++i) {
+          const RunHandle handle = session.Submit(request);
+          if (handle.Wait().outcome() != Outcome::kComplete) ++incomplete;
+        }
+      });
+    }
+    for (std::thread& client : clients) client.join();
+  };
+  concurrent_round();
+  const long settled = MappingCount();
+  concurrent_round();
+  EXPECT_EQ(incomplete.load(), 0);
+  EXPECT_LT(MappingCount() - settled, 64);
+}
+
 /// ---- MineBatch(): shared-scan batch planning ----
 
 /// The batch acceptance matrix (DESIGN.md §15): one mixed batch per
