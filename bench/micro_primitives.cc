@@ -39,33 +39,56 @@ const char* DpIsa() {
   return internal::RunnablePoissonBinomialKernels().front().isa;
 }
 
+/// The direct tail at threshold range(1) percent of n. At 25 % the
+/// dead-state cut skips little; at 90 % each state lives for only the
+/// last ~n/10 items before it can no longer reach the threshold.
 void BM_PoissonBinomialTail(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const std::size_t threshold = n / 4;
+  const std::size_t threshold =
+      n * static_cast<std::size_t>(state.range(1)) / 100;
   const std::vector<double> probs = RandomProbs(n, 1);
+  std::vector<double> dp;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(PoissonBinomialTailAtLeast(probs, threshold));
+    benchmark::DoNotOptimize(
+        PoissonBinomialTailAtLeast(probs.data(), n, threshold, &dp));
   }
-  state.SetComplexityN(static_cast<std::int64_t>(n));
   state.SetLabel(DpIsa());
 }
-BENCHMARK(BM_PoissonBinomialTail)->Range(64, 8192)->Complexity();
+BENCHMARK(BM_PoissonBinomialTail)
+    ->ArgsProduct({benchmark::CreateRange(64, 8192, 8), {25, 90}});
 
-/// The whole tail table up to n/4 (the EvalCache's one-pass form), with
-/// the DP row and table reused across iterations as the cache does.
+/// The whole tail table 0..n/4 (PoissonBinomialTailTable's band), with
+/// the DP row and table reused across iterations.
 void BM_PoissonBinomialTailTable(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const std::vector<double> probs = RandomProbs(n, 1);
   std::vector<double> dp;
   std::vector<double> table;
   for (auto _ : state) {
-    PoissonBinomialTailTable(probs.data(), n, n / 4, &dp, &table);
+    PoissonBinomialTailBand(probs.data(), n, 0, n / 4, &dp, &table);
     benchmark::DoNotOptimize(table.data());
   }
   state.SetComplexityN(static_cast<std::int64_t>(n));
   state.SetLabel(DpIsa());
 }
 BENCHMARK(BM_PoissonBinomialTailTable)->Range(64, 8192)->Complexity();
+
+/// The band 0.8n..0.9n an EvalCache entry of a batch group stores: one
+/// DP pass for a whole ladder of high thresholds.
+void BM_PoissonBinomialTailBand(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const std::vector<double> probs = RandomProbs(n, 1);
+  std::vector<double> dp;
+  std::vector<double> band;
+  for (auto _ : state) {
+    PoissonBinomialTailBand(probs.data(), n, n * 8 / 10, n * 9 / 10, &dp,
+                            &band);
+    benchmark::DoNotOptimize(band.data());
+  }
+  state.SetComplexityN(static_cast<std::int64_t>(n));
+  state.SetLabel(DpIsa());
+}
+BENCHMARK(BM_PoissonBinomialTailBand)->Range(64, 8192)->Complexity();
 
 void BM_PoissonBinomialPmf(benchmark::State& state) {
   const std::vector<double> probs =

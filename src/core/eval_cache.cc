@@ -27,6 +27,30 @@ bool SameTids(const TidSet& tids, const TidList& stored) {
   return equal;
 }
 
+/// Folds a stored band (stored_lo, stored) into an incoming one (*lo,
+/// *band) under Insert's rule: overlapping or adjacent bands are
+/// concatenated (every value in either is an exact tail, so the two
+/// agree bit for bit where they overlap), a disjoint band stands alone.
+/// Returns false when the incoming band answers nothing the stored one
+/// does not (it is empty, or inside the stored band).
+bool MergeBands(std::size_t stored_lo, const std::vector<double>& stored,
+                std::size_t* lo, std::vector<double>* band) {
+  if (band->empty()) return false;
+  if (stored.empty()) return true;
+  const std::size_t stored_end = stored_lo + stored.size();  // One past.
+  const std::size_t end = *lo + band->size();
+  if (stored_lo <= *lo && end <= stored_end) return false;
+  if (end < stored_lo || stored_end < *lo) return true;
+  const std::size_t merged_lo = std::min(stored_lo, *lo);
+  std::vector<double> merged(std::max(end, stored_end) - merged_lo);
+  std::copy(stored.begin(), stored.end(),
+            merged.data() + (stored_lo - merged_lo));
+  std::copy(band->begin(), band->end(), merged.data() + (*lo - merged_lo));
+  *lo = merged_lo;
+  *band = std::move(merged);
+  return true;
+}
+
 }  // namespace
 
 std::uint64_t TidSetFingerprint(const TidSet& tids) {
@@ -44,7 +68,7 @@ std::uint64_t TidSetFingerprint(const TidSet& tids) {
 
 std::size_t EvalCache::Entry::Bytes() const {
   return kEntryOverheadBytes + tids.capacity() * sizeof(Tid) +
-         table.capacity() * sizeof(double);
+         band.capacity() * sizeof(double);
 }
 
 EvalCache::EvalCache(const Options& options) : options_(options) {
@@ -70,18 +94,17 @@ EvalCache::Lookup EvalCache::Probe(const TidSet& tids,
   if (!SameTids(tids, entry.tids)) return lookup;
   lookup.found = true;
   lookup.mu = entry.mu;
-  if (entry.table_threshold >= threshold) {
+  if (threshold >= entry.table_lo &&
+      threshold - entry.table_lo < entry.band.size()) {
     lookup.has_table = true;
-    lookup.tail = entry.table[threshold];
+    lookup.tail = entry.band[threshold - entry.table_lo];
   }
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);  // Touch.
   return lookup;
 }
 
-void EvalCache::Insert(const TidSet& tids, double mu,
-                       std::size_t table_threshold,
-                       std::vector<double> table) {
-  PFCI_DCHECK(table.size() == table_threshold + 1);
+void EvalCache::Insert(const TidSet& tids, double mu, std::size_t table_lo,
+                       std::vector<double> band) {
   const std::uint64_t fp = TidSetFingerprint(tids);
   Shard& shard = ShardFor(fp);
   std::lock_guard<std::mutex> lock(shard.mutex);
@@ -89,22 +112,22 @@ void EvalCache::Insert(const TidSet& tids, double mu,
   if (it != shard.map.end()) {
     Entry& entry = it->second->second;
     if (SameTids(tids, entry.tids)) {
-      // Upgrade in place only when the new table answers more thresholds
-      // AND the upgraded entry still fits the budget on its own; an
-      // over-budget upgrade is rejected and the smaller entry kept (it
-      // keeps answering what it already answered).
-      if (table_threshold > entry.table_threshold) {
-        const std::size_t upgraded_bytes =
+      // Update in place only when the new band answers thresholds the
+      // stored one does not AND the updated entry still fits the budget
+      // on its own; an over-budget update is rejected and the stored
+      // band kept (it keeps answering what it already answered).
+      if (MergeBands(entry.table_lo, entry.band, &table_lo, &band)) {
+        const std::size_t updated_bytes =
             kEntryOverheadBytes + entry.tids.capacity() * sizeof(Tid) +
-            table.capacity() * sizeof(double);
-        if (upgraded_bytes > options_.max_bytes) {
+            band.capacity() * sizeof(double);
+        if (updated_bytes > options_.max_bytes) {
           rejections_.fetch_add(1, std::memory_order_relaxed);
         } else {
           bytes_.fetch_sub(entry.Bytes(), std::memory_order_relaxed);
-          entry.table_threshold = table_threshold;
-          entry.table = std::move(table);
+          entry.table_lo = table_lo;
+          entry.band = std::move(band);
           bytes_.fetch_add(entry.Bytes(), std::memory_order_relaxed);
-          // An upgrade during a batch is the shared-DP prefill later
+          // An update during a batch is the shared-DP prefill later
           // members depend on — pin it for the batch lifetime.
           if (!entry.pinned &&
               pin_depth_.load(std::memory_order_relaxed) > 0) {
@@ -121,9 +144,9 @@ void EvalCache::Insert(const TidSet& tids, double mu,
   Entry entry;
   entry.tids = tids.ToTidList();
   entry.mu = mu;
-  entry.table_threshold = table_threshold;
+  entry.table_lo = table_lo;
   entry.pinned = pin_depth_.load(std::memory_order_relaxed) > 0;
-  entry.table = std::move(table);
+  entry.band = std::move(band);
   // An entry that alone exceeds the whole budget can never become
   // resident; admitting it would evict the entire shard and still leave
   // the cache over budget (the historical evict-everything-then-stay-
@@ -158,7 +181,7 @@ void EvalCache::EvictLocked(Shard& shard) {
   // touched (front): it is the one the caller is actively using, and
   // over-budget pressure from other shards should not starve this one.
   // Pinned entries are skipped — the batch that pinned them still needs
-  // their tables — so resident bytes may overshoot the budget by the
+  // their bands — so resident bytes may overshoot the budget by the
   // pinned working set until the pin scope closes and re-evicts.
   while (bytes_.load(std::memory_order_relaxed) > options_.max_bytes &&
          shard.lru.size() > 1) {

@@ -8,11 +8,12 @@
 // requests — unlike sampled FCP values, which stay seed-derived per run
 // and are never cached.
 //
-// EvalCache stores, per canonical tidset, the cached mu plus a tail TABLE
-// computed by PoissonBinomialTailTable at the largest threshold seen so
-// far: table[t] is bit-identical to a direct DP run at threshold t, so
-// one stored DP answers every min_sup <= table_threshold without
-// re-running the DP (monotonicity-aware reuse). Entries are keyed by a
+// EvalCache stores, per canonical tidset, the cached mu plus one BAND of
+// tail probabilities computed by PoissonBinomialTailBand: band[t - lo] is
+// bit-identical to a direct DP run at threshold t for every t in lo..hi,
+// so a probe at any min_sup inside the band is answered without
+// re-running the DP (a band hit); a probe outside it misses. Only the
+// band is stored, never the table below it. Entries are keyed by a
 // 64-bit fingerprint of the tid contents and verified by exact tid
 // comparison — a fingerprint collision degrades to a miss, never to a
 // wrong answer. The cache is sharded (one mutex + LRU list per shard) and
@@ -63,7 +64,7 @@ class EvalCache {
   /// after the entry is evicted.
   struct Lookup {
     bool found = false;      ///< An entry with exactly these tids exists.
-    bool has_table = false;  ///< Its tail table covers the threshold.
+    bool has_table = false;  ///< Its tail band covers the threshold.
     double mu = 0.0;         ///< Cached expected support (when found).
     double tail = 0.0;       ///< PrF at `threshold` (when has_table).
   };
@@ -74,21 +75,24 @@ class EvalCache {
   EvalCache& operator=(const EvalCache&) = delete;
 
   /// Looks up `tids`. On found, `mu` is always usable; `has_table`/`tail`
-  /// are set when the stored table reaches `threshold` (table[threshold]
-  /// is bit-identical to a direct DP run there).
+  /// are set when the stored band lo..hi contains `threshold` (its value
+  /// there is bit-identical to a direct DP run at `threshold`).
   Lookup Probe(const TidSet& tids, std::size_t threshold) const;
 
-  /// Stores (or upgrades) the entry for `tids`. `table` must be the
-  /// PoissonBinomialTailTable output of size table_threshold + 1; pass
-  /// table_threshold 0 (table {1.0}) to cache mu alone. An existing entry
-  /// with a larger table is kept as-is (it answers strictly more). An
-  /// entry (or upgrade) that would alone exceed max_bytes is rejected —
-  /// counted in rejections(), existing entries untouched — so the cache
-  /// never admits something it would have to evict everything for.
-  void Insert(const TidSet& tids, double mu, std::size_t table_threshold,
-              std::vector<double> table);
+  /// Stores (or updates) the entry for `tids`. `band` must be the
+  /// PoissonBinomialTailBand output for thresholds table_lo..table_lo +
+  /// band.size() - 1; pass an empty band to cache mu alone. For an
+  /// existing entry, a band that overlaps or touches the stored one is
+  /// merged with it (both hold exact tail values, so the union does too),
+  /// a disjoint band replaces it, and an empty or already-covered band
+  /// leaves it as-is. An entry (or update) that would alone exceed
+  /// max_bytes is rejected — counted in rejections(), existing entries
+  /// untouched — so the cache never admits something it would have to
+  /// evict everything for.
+  void Insert(const TidSet& tids, double mu, std::size_t table_lo,
+              std::vector<double> band);
 
-  /// Current resident bytes across all shards (tids + tables + entry
+  /// Current resident bytes across all shards (tids + bands + entry
   /// overhead; the value MiningStats reports as cache_bytes).
   std::uint64_t bytes() const {
     return bytes_.load(std::memory_order_relaxed);
@@ -116,7 +120,7 @@ class EvalCache {
   /// Batch-lifetime pinning (DESIGN.md §15). Entries inserted or upgraded
   /// while at least one pin scope is open are exempt from LRU eviction
   /// until every scope closes: a batch group's lowest-threshold run
-  /// prefills tail tables that every later member depends on, and byte-
+  /// prefills tail bands that every later member depends on, and byte-
   /// budget pressure from concurrent traffic must not evict them between
   /// the prefill and the last consumer. Pinned bytes may overshoot
   /// max_bytes by the pinned working set; unpinned entries keep being
@@ -145,11 +149,11 @@ class EvalCache {
 
  private:
   struct Entry {
-    TidList tids;               ///< Exact key (collision guard).
-    double mu = 0.0;            ///< Sum of probs, ascending tid order.
-    std::size_t table_threshold = 0;
-    bool pinned = false;        ///< Exempt from eviction while pins open.
-    std::vector<double> table;  ///< table[t] = PrF at threshold t.
+    TidList tids;              ///< Exact key (collision guard).
+    double mu = 0.0;           ///< Sum of probs, ascending tid order.
+    std::size_t table_lo = 0;  ///< Threshold of band[0].
+    bool pinned = false;       ///< Exempt from eviction while pins open.
+    std::vector<double> band;  ///< band[t - table_lo] = PrF at threshold t.
 
     std::size_t Bytes() const;
   };

@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/core/search/threshold_ladder.h"
 #include "src/util/runtime.h"
 #include "src/util/trace.h"
 
@@ -143,13 +144,14 @@ struct ExecutionContext {
   /// warm-starting. Like the cache, affects work done, never results.
   ItemWarmStart* warm_start = nullptr;
 
-  /// Minimum threshold up to which freshly computed DP tail tables are
-  /// extended before being cached (0: just the run's min_sup). A sweep
-  /// sets this to its largest threshold so the first (lowest-threshold)
-  /// run prefills tables that answer every later threshold without
-  /// re-running the DP. Truncation-invariance keeps table[t] bit-identical
-  /// to a direct DP at t, so this affects work done, never results.
-  std::size_t table_floor = 0;
+  /// The thresholds of the planned group this run belongs to ({0, 0}: a
+  /// lone run). Freshly computed DP tail bands run from the run's min_sup
+  /// up to `table_band.hi` before being cached, so the first
+  /// (lowest-threshold) run of a sweep fills a band that answers every
+  /// later threshold without re-running the DP. Each band value is
+  /// bit-identical to a direct DP at its threshold, so this affects work
+  /// done, never results.
+  ThresholdBand table_band;
 
   /// Snapshot to resume the run from; null starts fresh. Owned by the
   /// caller (Mine() loads and fingerprint-checks it); the search driver

@@ -23,12 +23,15 @@ constexpr double kNegligible = 1e-15;
 FrequentProbability::FrequentProbability(const VerticalIndex& index,
                                          std::size_t min_sup,
                                          EvalCache* cache,
-                                         std::size_t table_floor)
+                                         ThresholdBand table_band)
     : index_(&index),
       min_sup_(min_sup),
       cache_(cache),
-      table_floor_(table_floor) {
+      table_band_(table_band) {
   PFCI_CHECK(min_sup >= 1);
+  // A planned run's own threshold lies inside its group's band.
+  PFCI_DCHECK(table_band.hi == 0 ||
+              (table_band.lo <= min_sup && min_sup <= table_band.hi));
 }
 
 double FrequentProbability::PrFFromProbs(const std::vector<double>& probs,
@@ -63,7 +66,7 @@ double FrequentProbability::CachedPrF(const TidSet& tids,
   const double s = static_cast<double>(min_sup_);
   const EvalCache::Lookup lookup = cache_->Probe(tids, min_sup_);
   if (lookup.found) {
-    // Replay the short circuits off the cached mu first: the tail table
+    // Replay the short circuits off the cached mu first: the tail band
     // holds raw DP values, but an uncached run that short-circuits never
     // reaches the DP, and bit-identity means matching that path too. The
     // cached mu is the ascending-tid-order sum, the same value
@@ -82,55 +85,53 @@ double FrequentProbability::CachedPrF(const TidSet& tids,
       return lookup.tail;
     }
   }
-  // Miss, or a stored table truncated below this min_sup: gather and
-  // compute the full tail table so this and every smaller threshold are
-  // answered from the cache next time.
+  // Miss, or a stored band that does not contain this min_sup: gather
+  // and compute the band min_sup..hi, where hi is the top of the run's
+  // planned group clamped to |tids| (any probe above that size is
+  // rejected by the tids.size() check before reaching the cache). Every
+  // value in the band is bit-identical to a direct DP at its threshold,
+  // so hi changes work done, never values.
   cache_misses_.fetch_add(1, std::memory_order_relaxed);
   index_->GatherProbs(tids, &workspace.probs);
   const std::vector<double>& probs = workspace.probs;
   const double mu =
       lookup.found ? lookup.mu : PoissonBinomialMean(probs);
+  const std::size_t hi =
+      std::max(min_sup_, std::min(table_band_.hi, probs.size()));
   if (!lookup.found) {
     if (BestUpperTailBound(mu, probs.size(), s) < kNegligible) {
       // PrF ~ 0 here and even smaller at every higher threshold, where
-      // the mu replay short-circuits again: no table needed.
-      cache_->Insert(tids, mu, 0, {1.0});
+      // the mu replay short-circuits again: no band needed.
+      cache_->Insert(tids, mu, 0, {});
       return 0.0;
     }
     if (ChernoffLowerTail(mu, s - 1.0) < kNegligible) {
-      // PrF ~ 1 here, but a HIGHER threshold may not short-circuit; with
-      // a floor set (sweep), prefill the table it will need — unless the
-      // short circuit still fires at the floor itself, in which case it
-      // fires at every threshold up to it (the lower-tail mass only
-      // grows with the threshold) and the table would never be read.
-      // The return value stays the short-circuit 1.0 either way.
-      const std::size_t floor = std::min(table_floor_, probs.size());
-      if (floor > min_sup_ &&
-          ChernoffLowerTail(mu, static_cast<double>(floor) - 1.0) >=
+      // PrF ~ 1 here, but a HIGHER threshold of the group may not
+      // short-circuit; prefill the band it will need — unless the short
+      // circuit still fires at the band's top, in which case it fires at
+      // every threshold up to it (the lower-tail mass only grows with the
+      // threshold) and the band would never be read. The return value
+      // stays the short-circuit 1.0 either way.
+      if (hi > min_sup_ &&
+          ChernoffLowerTail(mu, static_cast<double>(hi) - 1.0) >=
               kNegligible) {
         dp_runs_.fetch_add(1, std::memory_order_relaxed);
-        std::vector<double> table;
-        PoissonBinomialTailTable(probs.data(), probs.size(), floor,
-                                 &workspace.dp, &table);
-        cache_->Insert(tids, mu, floor, std::move(table));
+        std::vector<double> band;
+        PoissonBinomialTailBand(probs.data(), probs.size(), min_sup_, hi,
+                                &workspace.dp, &band);
+        cache_->Insert(tids, mu, min_sup_, std::move(band));
       } else {
-        cache_->Insert(tids, mu, 0, {1.0});
+        cache_->Insert(tids, mu, 0, {});
       }
       return 1.0;
     }
   }
   dp_runs_.fetch_add(1, std::memory_order_relaxed);
-  // Extend the table to the floor (clamped to |tids|: any probe above
-  // that size is rejected by the tids.size() check before reaching the
-  // cache). table[t] is bit-identical to a direct DP at t for every
-  // t <= threshold, so the floor changes work done, never values.
-  const std::size_t threshold =
-      std::max(min_sup_, std::min(table_floor_, probs.size()));
-  std::vector<double> table;
-  PoissonBinomialTailTable(probs.data(), probs.size(), threshold,
-                           &workspace.dp, &table);
-  const double result = table[min_sup_];
-  cache_->Insert(tids, mu, threshold, std::move(table));
+  std::vector<double> band;
+  PoissonBinomialTailBand(probs.data(), probs.size(), min_sup_, hi,
+                          &workspace.dp, &band);
+  const double result = band[0];
+  cache_->Insert(tids, mu, min_sup_, std::move(band));
   return result;
 }
 

@@ -27,18 +27,20 @@ class EvalCache;
 /// Evaluates frequent probabilities against a fixed database and min_sup.
 ///
 /// With a non-null EvalCache (session runs), PrF(tids) first consults the
-/// cache: a stored tail table answers this min_sup bit-identically to a
-/// direct DP (see PoissonBinomialTailTable), and the cached mu replays
+/// cache: a stored tail band containing this min_sup answers it
+/// bit-identically to a direct DP (see PoissonBinomialTailBand), and the
+/// cached mu replays
 /// the Chernoff short circuits exactly, so caching never changes a
 /// returned value — only the dp_runs / cache_* work counters.
 class FrequentProbability {
  public:
-  /// `table_floor` (only meaningful with a cache): freshly computed tail
-  /// tables are extended to at least this threshold before caching, so a
+  /// `table_band` (only meaningful with a cache): the thresholds of the
+  /// planned group this run belongs to, {0, 0} for a lone run. Freshly
+  /// computed tail bands cover min_sup..max(min_sup, table_band.hi), so a
   /// sweep's lowest-threshold run prefills answers for the higher ones.
   FrequentProbability(const VerticalIndex& index, std::size_t min_sup,
                       EvalCache* cache = nullptr,
-                      std::size_t table_floor = 0);
+                      ThresholdBand table_band = {});
 
   /// Exact PrF over the transactions in `tids` (modulo the 1e-15 short
   /// circuits described above). Uses the calling thread's workspace.
@@ -96,7 +98,7 @@ class FrequentProbability {
   const VerticalIndex* index_;
   std::size_t min_sup_;
   EvalCache* cache_ = nullptr;
-  std::size_t table_floor_ = 0;
+  ThresholdBand table_band_;
   mutable std::atomic<std::uint64_t> dp_runs_{0};
   mutable std::atomic<std::uint64_t> cache_hits_{0};
   mutable std::atomic<std::uint64_t> cache_misses_{0};

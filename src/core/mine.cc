@@ -334,7 +334,7 @@ MiningResult RunRequest(const MiningRequest& request,
     exec.shared_index = bindings->index;
     exec.eval_cache = bindings->eval_cache;
     exec.warm_start = bindings->warm_start;
-    exec.table_floor = bindings->table_floor;
+    exec.table_band = bindings->table_band;
   }
 
   // Sinks flush on every exit path: a cancelled or deadline-stopped run

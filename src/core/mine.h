@@ -211,9 +211,9 @@ struct SessionBindings {
   /// Cross-request per-item infrequency proofs.
   ItemWarmStart* warm_start = nullptr;
 
-  /// Extend freshly cached DP tail tables to at least this threshold
-  /// (0: just the run's min_sup). See ExecutionContext::table_floor.
-  std::size_t table_floor = 0;
+  /// Thresholds of the planned group the run belongs to ({0, 0}: a lone
+  /// run). See ExecutionContext::table_band.
+  ThresholdBand table_band;
 };
 
 /// Mine() with session state attached. This is the primitive

@@ -65,7 +65,7 @@ struct MiningStats {
   /// §11). All zero outside a MiningSession. cache_hits/cache_misses
   /// count PrF/esup probes served from / absent from the cross-request
   /// cache; dp_reused is the subset of hits answered from a stored
-  /// Poisson-binomial tail table (a DP the run did not have to execute);
+  /// Poisson-binomial tail band (a DP the run did not have to execute);
   /// cache_bytes is the cache's resident size after the run. Cached
   /// values are exact, so these counters never affect results; unlike
   /// the other counters, hit/miss totals may vary with scheduling when

@@ -28,7 +28,7 @@ class PrFMeasure {
              bool use_chernoff, FrequencyMode mode)
       : pft_(pft),
         stats_(stats),
-        freq_(index, min_sup, exec.eval_cache, exec.table_floor),
+        freq_(index, min_sup, exec.eval_cache, exec.table_band),
         oracle_(index, freq_, use_chernoff, mode,
                 // Warm-start proofs are exact-PrF statements: sound to
                 // prune with only when the run itself evaluates exactly.
@@ -111,7 +111,7 @@ class EsupMeasure {
     }
     ++misses_;
     const double mu = index_.SumProbsOf(tids);
-    cache_->Insert(tids, mu, 0, {1.0});
+    cache_->Insert(tids, mu, 0, {});
     return mu;
   }
 

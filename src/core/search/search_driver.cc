@@ -14,7 +14,7 @@ MiningResult RunSearch(const UncertainDatabase& db, const MiningParams& params,
   const IndexHandle index_handle(db, TidSetPolicyFor(params), exec);
   const VerticalIndex& index = index_handle.get();
   const FrequentProbability freq(index, params.min_sup, exec.eval_cache,
-                                 exec.table_floor);
+                                 exec.table_band);
   const FcpEngine engine(index, freq, params, exec);
   const CandidateOracle oracle(index, freq, params.pruning.chernoff,
                                FrequencyMode::kExactDp, exec.warm_start);

@@ -18,7 +18,8 @@ ThresholdLadder PlanThresholdLadder(
                    [&thresholds](std::size_t a, std::size_t b) {
                      return thresholds[a] < thresholds[b];
                    });
-  ladder.table_floor = thresholds[ladder.order.back()];
+  ladder.band = {thresholds[ladder.order.front()],
+                 thresholds[ladder.order.back()]};
   return ladder;
 }
 

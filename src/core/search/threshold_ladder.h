@@ -2,16 +2,17 @@
 // §15): the ordering rule that makes one shared pass answer a whole
 // group of runs that differ only in min_sup.
 //
-// Both EvalCache tail tables and ItemWarmStart proofs are monotone in
-// the threshold: a Poisson-binomial tail table computed at threshold S
-// answers every min_sup <= S bit-identically, and an infrequency proof
-// at min_sup s transfers to every s' >= s (anti-monotonicity, Lemma in
-// the paper's Sec. 4). So a set of thresholds over one database is
-// cheapest executed ascending with every freshly computed table extended
-// to the ladder's top — the lowest-threshold run prefills answers for
-// all the others. PlanThresholdLadder encodes exactly that rule; the
-// serving layer's BatchPlanner delegates to it so the "which member pays
-// for the DP work" decision lives in one place.
+// Both EvalCache tail bands and ItemWarmStart proofs carry across
+// thresholds: a Poisson-binomial tail band computed over thresholds
+// lo..hi answers every min_sup inside it bit-identically (a band hit),
+// and an infrequency proof at min_sup s transfers to every s' >= s
+// (anti-monotonicity, Lemma in the paper's Sec. 4). So a set of
+// thresholds over one database is cheapest executed ascending with every
+// freshly computed band running from the run's own min_sup up to the
+// ladder's top — the lowest-threshold run fills the whole ladder's band
+// and answers for all the others. PlanThresholdLadder encodes exactly
+// that rule; the serving layer's BatchPlanner delegates to it so the
+// "which member pays for the DP work" decision lives in one place.
 #ifndef PFCI_CORE_SEARCH_THRESHOLD_LADDER_H_
 #define PFCI_CORE_SEARCH_THRESHOLD_LADDER_H_
 
@@ -20,6 +21,12 @@
 #include <vector>
 
 namespace pfci {
+
+/// A closed range lo..hi of min_sup thresholds; {0, 0} means none.
+struct ThresholdBand {
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+};
 
 /// An execution plan over runs that differ only in min_sup.
 struct ThresholdLadder {
@@ -30,10 +37,11 @@ struct ThresholdLadder {
   /// candidate-index build and DP tables everyone else reuses.
   std::vector<std::size_t> order;
 
-  /// The largest threshold in the ladder. Runs executed under this plan
-  /// pass it as ExecutionContext::table_floor so every tail table they
-  /// cache is extended far enough to answer all later members.
-  std::size_t table_floor = 0;
+  /// The ladder's smallest and largest thresholds. Runs executed under
+  /// this plan pass it as ExecutionContext::table_band so every tail band
+  /// they cache reaches the top of the ladder and answers all later
+  /// members.
+  ThresholdBand band;
 
   bool empty() const { return order.empty(); }
   std::size_t size() const { return order.size(); }
@@ -41,7 +49,7 @@ struct ThresholdLadder {
 
 /// Plans the ascending-threshold execution order for `thresholds` (one
 /// per member, in submission order). An empty span yields an empty plan
-/// with table_floor 0.
+/// with band {0, 0}.
 ThresholdLadder PlanThresholdLadder(std::span<const std::size_t> thresholds);
 
 }  // namespace pfci

@@ -23,6 +23,12 @@ VerticalIndex::VerticalIndex(const UncertainDatabase& db,
   empty_ = TidSet(TidList{}, universe, policy_);
   probs_.reserve(universe);
   for (Tid tid = 0; tid < universe; ++tid) probs_.push_back(db.prob(tid));
+  // The index never changes after construction, so its size is counted
+  // once here instead of walking every tid-set on each MemoryBytes().
+  memory_bytes_ = probs_.capacity() * sizeof(double) +
+                  occurring_items_.capacity() * sizeof(Item) +
+                  all_tids_.MemoryBytes();
+  for (const TidSet& tids : tids_by_item_) memory_bytes_ += tids.MemoryBytes();
 }
 
 const TidSet& VerticalIndex::TidsOfItem(Item item) const {
@@ -62,14 +68,6 @@ std::vector<double> VerticalIndex::ProbsOf(const TidList& tids) const {
   probs.reserve(tids.size());
   for (Tid tid : tids) probs.push_back(db_->prob(tid));
   return probs;
-}
-
-std::size_t VerticalIndex::MemoryBytes() const {
-  std::size_t bytes = probs_.capacity() * sizeof(double) +
-                      occurring_items_.capacity() * sizeof(Item) +
-                      all_tids_.MemoryBytes();
-  for (const TidSet& tids : tids_by_item_) bytes += tids.MemoryBytes();
-  return bytes;
 }
 
 double VerticalIndex::SumProbsOf(const TidSet& tids) const {

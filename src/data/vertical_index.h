@@ -54,8 +54,9 @@ class VerticalIndex {
 
   /// Heap bytes resident in the index (per-item tid-sets, the
   /// probability column, the all-tids set). Miners charge this into the
-  /// RunController's memory budget right after construction.
-  std::size_t MemoryBytes() const;
+  /// RunController's memory budget right after construction. Counted once
+  /// at construction (the index is immutable), so this is O(1).
+  std::size_t MemoryBytes() const { return memory_bytes_; }
 
   const TidSetPolicy& policy() const { return policy_; }
   const UncertainDatabase& db() const { return *db_; }
@@ -68,6 +69,7 @@ class VerticalIndex {
   TidSet all_tids_;
   TidSet empty_;
   std::vector<double> probs_;  ///< probs_[tid] = Pr(transaction tid exists).
+  std::size_t memory_bytes_ = 0;
 };
 
 }  // namespace pfci

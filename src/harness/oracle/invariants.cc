@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <utility>
 
@@ -101,6 +102,32 @@ void CompareBitwise(const MiningResult& ref, const MiningResult& alt,
                  std::string(what) + ": entry " + std::to_string(i) +
                      " differs: " + EntryLabel(a) + " vs " + EntryLabel(b),
                  alt_request);
+      return;
+    }
+  }
+}
+
+/// Rounding slack a reported probability may carry (docs/ALGORITHM.md
+/// §1.1): 64 ulp of 1, above 1 and across the Lemma 4.4 interval (an
+/// exact fcp and its bounds are rounded along different paths).
+constexpr double kRoundingSlack = 64 * std::numeric_limits<double>::epsilon();
+
+/// The range every reported entry keeps: 0 <= pr_f, 0 <= fcp_lower <=
+/// fcp <= fcp_upper, and neither pr_f nor fcp_upper above 1, each up to
+/// the rounding slack. Written so that a NaN fails every comparison.
+void CheckProbabilityRanges(const MiningResult& result, const char* what,
+                            const MiningRequest& request,
+                            std::vector<OracleFinding>* findings) {
+  for (const PfciEntry& entry : result.itemsets) {
+    if (!(entry.pr_f >= 0.0 && entry.pr_f <= 1.0 + kRoundingSlack &&
+          entry.fcp_lower >= 0.0 &&
+          entry.fcp_lower <= entry.fcp + kRoundingSlack &&
+          entry.fcp <= entry.fcp_upper + kRoundingSlack &&
+          entry.fcp_upper <= 1.0 + kRoundingSlack)) {
+      AddFinding(findings, "range/probability",
+                 std::string(what) + ": " + EntryLabel(entry) +
+                     " pr_f=" + FormatDoubleRoundTrip(entry.pr_f),
+                 request);
       return;
     }
   }
@@ -248,6 +275,9 @@ std::vector<OracleFinding> CheckDatabase(const UncertainDatabase& db,
     return findings;
   }
 
+  // --- Range: every reported probability lies in [0, 1] up to rounding.
+  CheckProbabilityRanges(reference, "mpfci", base, &findings);
+
   // --- Determinism: the same request must reproduce itself bit-exactly.
   CompareBitwise(reference, Mine(db, base), "determinism/rerun",
                  "identical request, second run", base, &findings);
@@ -262,6 +292,8 @@ std::vector<OracleFinding> CheckDatabase(const UncertainDatabase& db,
   const MiningRequest no_bounds =
       MakeRequest(no_bounds_params, Algorithm::kMpfci);
   const MiningResult exact_ref = Mine(db, no_bounds);
+  CheckProbabilityRanges(exact_ref, "mpfci, fcp_bounds off", no_bounds,
+                         &findings);
   CompareExact(reference, exact_ref, pfct, tol, /*compare_pr_f=*/true,
                "invariance/pruning", "fcp_bounds on vs off", no_bounds,
                &findings);
@@ -310,6 +342,7 @@ std::vector<OracleFinding> CheckDatabase(const UncertainDatabase& db,
   // --- PFI containment: every PFCI is probabilistically frequent.
   const MiningRequest pfi = MakeRequest(params, Algorithm::kPfi);
   const MiningResult pfi_result = Mine(db, pfi);
+  CheckProbabilityRanges(pfi_result, "pfi", pfi, &findings);
   {
     std::map<Itemset, double> pfi_prf;
     for (const PfciEntry& entry : pfi_result.itemsets) {
@@ -513,7 +546,7 @@ std::vector<OracleFinding> CheckDatabase(const UncertainDatabase& db,
     SessionBindings bindings;
     bindings.eval_cache = &cache;
     bindings.warm_start = &warm_start;
-    bindings.table_floor = params.min_sup + 2;
+    bindings.table_band = {params.min_sup, params.min_sup + 2};
     CompareBitwise(reference, MineWithBindings(db, base, bindings),
                    "invariance/cache", "unbound vs cold eval cache", base,
                    &findings);
@@ -580,6 +613,7 @@ std::vector<OracleFinding> CheckDatabase(const UncertainDatabase& db,
     naive_params.delta = options.naive_delta;
     const MiningRequest naive = MakeRequest(naive_params, Algorithm::kNaive);
     const MiningResult sampled = Mine(db, naive);
+    CheckProbabilityRanges(sampled, "naive", naive, &findings);
     const double tau = SampledTolerance(options.naive_epsilon, num_items);
     // The bounds-off run is the comparison baseline: its fcp values are
     // exact points, so the statistical envelope is anchored tightly.

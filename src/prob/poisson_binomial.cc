@@ -61,20 +61,19 @@ constexpr std::size_t kLanes = sizeof(Lanes) / sizeof(double);
   return lo;
 }
 
-/// tail[t] += dp[t-1] * p for t = lo..hi (each cell independent).
-[[gnu::always_inline]] inline void Absorb(double* tail, const double* dp,
-                                          std::size_t lo, std::size_t hi,
-                                          double p) {
-  std::size_t t = lo;
-  for (; t + kLanes <= hi + 1; t += kLanes) {
+/// out[k] += dp[k] * p for k = 0..count-1 (each cell independent).
+[[gnu::always_inline]] inline void Absorb(double* out, const double* dp,
+                                          std::size_t count, double p) {
+  std::size_t k = 0;
+  for (; k + kLanes <= count; k += kLanes) {
     Lanes acc;
     Lanes below;
-    __builtin_memcpy(&acc, tail + t, sizeof acc);
-    __builtin_memcpy(&below, dp + t - 1, sizeof below);
+    __builtin_memcpy(&acc, out + k, sizeof acc);
+    __builtin_memcpy(&below, dp + k, sizeof below);
     acc += below * p;
-    __builtin_memcpy(tail + t, &acc, sizeof acc);
+    __builtin_memcpy(out + k, &acc, sizeof acc);
   }
-  for (; t <= hi; ++t) tail[t] += dp[t - 1] * p;
+  for (; k < count; ++k) out[k] += dp[k] * p;
 }
 
 [[gnu::always_inline]] inline void PmfBody(const double* probs, std::size_t n,
@@ -92,83 +91,89 @@ constexpr std::size_t kLanes = sizeof(Lanes) / sizeof(double);
   }
 }
 
-[[gnu::always_inline]] inline double TailAtLeastBody(
-    const double* probs, std::size_t n, std::size_t threshold,
-    std::vector<double>* dp_scratch) {
-  if (threshold == 0) return 1.0;
-  if (threshold > n) return 0.0;
-
-  // dp[s] = Pr{partial sum == s} for s < threshold; `reached` absorbs all
-  // probability mass that has attained the threshold.
-  dp_scratch->assign(threshold, 0.0);
-  double* dp = dp_scratch->data();
-  dp[0] = 1.0;
-  double reached = 0.0;
-  std::size_t lo = 0;     // Cells below lo are exactly zero.
-  std::size_t upper = 0;  // Highest state index that can currently be live.
-  for (std::size_t i = 0; i < n; ++i) {
-    const double p = probs[i];
-    PFCI_DCHECK(p >= 0.0 && p <= 1.0);
-    // dp[threshold-1] is zero until that state becomes reachable, so the
-    // absorption step is always safe.
-    reached += dp[threshold - 1] * p;
-    const std::size_t top = std::min(upper + 1, threshold - 1);
-    lo = StepStates(dp, lo, top, p);
-    upper = top;
+/// Pr{sum >= t} for every t in t_lo..t_hi, added into band[t - t_lo]
+/// (which the caller zeroes). One DP row serves the whole band: state s
+/// depends only on states <= s, so a cell's value is the same under every
+/// truncation above it, and each threshold's accumulator receives
+/// `dp[t-1] * p` before each item's state update, exactly where a run
+/// over states 0..t-1 alone adds to its absorbing state. Two kinds of
+/// cells are skipped, and neither changes a bit of what is read:
+///  * the lower band of exact zeros (see StepStates);
+///  * dead states: with n-1-i items left after item i, a state below
+///    t_lo-(n-1-i) can no longer reach t_lo, so it only ever feeds other
+///    dead states (docs/ALGORITHM.md §1.1). The row after the last item
+///    is never read at all.
+[[gnu::always_inline]] inline void TailBandBody(
+    const double* probs, std::size_t n, std::size_t t_lo, std::size_t t_hi,
+    std::vector<double>* dp_scratch, double* band) {
+  PFCI_DCHECK(t_lo <= t_hi);
+  if (t_lo == 0) {
+    band[0] = 1.0;  // Threshold 0 is certain.
+    ++band;
+    t_lo = 1;
   }
-  return reached;
-}
-
-[[gnu::always_inline]] inline void TailTableBody(
-    const double* probs, std::size_t n, std::size_t threshold,
-    std::vector<double>* dp_scratch, std::vector<double>* table) {
-  table->assign(threshold + 1, 0.0);
-  (*table)[0] = 1.0;  // threshold 0 is certain, as in the direct form.
-  if (threshold == 0) return;
-  // Thresholds above n keep their exact-zero initialization (the direct
-  // form returns 0.0 before touching the DP), so the shared DP row only
-  // needs states 0..cap-1.
-  const std::size_t cap = std::min(threshold, n);
-  if (cap == 0) return;
+  // Thresholds above n keep their exact-zero initialization, so the
+  // shared DP row only needs states 0..cap-1.
+  const std::size_t cap = std::min(t_hi, n);
+  if (t_lo > cap) return;
   dp_scratch->assign(cap, 0.0);
   double* dp = dp_scratch->data();
-  double* tail = table->data();
   dp[0] = 1.0;
-  std::size_t lo = 0;     // Cells below lo are exactly zero.
+  std::size_t lo = 0;     // Cells below lo are exactly zero or dead.
   std::size_t upper = 0;  // Highest state index that can currently be live.
   for (std::size_t i = 0; i < n; ++i) {
     const double p = probs[i];
     PFCI_DCHECK(p >= 0.0 && p <= 1.0);
-    // One absorption per threshold, before the state update — the same
-    // point in the item loop where a direct run at threshold t executes
-    // `reached += dp[t - 1] * p`. Thresholds whose state t-1 lies outside
-    // the live band lo..upper would add +0 there, so they are skipped.
-    Absorb(tail, dp, lo + 1, std::min(upper + 1, cap), p);
+    // Thresholds whose state t-1 lies outside the live band lo..upper
+    // would add +0 here, so they are skipped.
+    const std::size_t first = std::max(lo + 1, t_lo);
+    const std::size_t last = std::min(upper + 1, cap);
+    if (first <= last) {
+      Absorb(band + (first - t_lo), dp + (first - 1), last - first + 1, p);
+    }
+    const std::size_t left = n - 1 - i;  // Items after this one.
+    if (left == 0) break;
+    if (t_lo > left) lo = std::max(lo, t_lo - left);
     const std::size_t top = std::min(upper + 1, cap - 1);
+    PFCI_DCHECK(lo <= top);
     lo = StepStates(dp, lo, top, p);
     upper = top;
   }
 }
 
 // One thin wrapper per entry point and ISA; each inlines the shared body.
+// The direct tail is the band [threshold, threshold] into a local
+// accumulator, so it allocates no table. Only reached[0] is ever written;
+// the array is one vector wide so that the compiler, which cannot see
+// that the band has one cell, finds Absorb's vector path in bounds.
 #define PFCI_PB_KERNELS(name, isa, ...)                                     \
   __VA_ARGS__ double TailAtLeast_##name(const double* probs, std::size_t n, \
                                         std::size_t threshold,              \
                                         std::vector<double>* dp_scratch) {  \
-    return TailAtLeastBody(probs, n, threshold, dp_scratch);                \
+    double reached[kLanes] = {};                                            \
+    TailBandBody(probs, n, threshold, threshold, dp_scratch, reached);      \
+    return reached[0];                                                      \
+  }                                                                         \
+  __VA_ARGS__ void TailBand_##name(const double* probs, std::size_t n,      \
+                                   std::size_t t_lo, std::size_t t_hi,      \
+                                   std::vector<double>* dp_scratch,         \
+                                   std::vector<double>* band) {             \
+    band->assign(t_hi - t_lo + 1, 0.0);                                     \
+    TailBandBody(probs, n, t_lo, t_hi, dp_scratch, band->data());           \
   }                                                                         \
   __VA_ARGS__ void TailTable_##name(const double* probs, std::size_t n,     \
                                     std::size_t threshold,                  \
                                     std::vector<double>* dp_scratch,        \
                                     std::vector<double>* table) {           \
-    TailTableBody(probs, n, threshold, dp_scratch, table);                  \
+    TailBand_##name(probs, n, 0, threshold, dp_scratch, table);             \
   }                                                                         \
   __VA_ARGS__ void Pmf_##name(const double* probs, std::size_t n,           \
                               std::vector<double>* pmf) {                   \
     PmfBody(probs, n, pmf);                                                 \
   }                                                                         \
   constexpr internal::PoissonBinomialKernels k##name{                      \
-      isa, TailAtLeast_##name, TailTable_##name, Pmf_##name};
+      isa, TailAtLeast_##name, TailBand_##name, TailTable_##name,          \
+      Pmf_##name};
 
 PFCI_PB_KERNELS(Baseline, "baseline")
 #if PFCI_PB_MULTIVERSION
@@ -222,18 +227,18 @@ double PoissonBinomialTailAtLeast(const double* probs, std::size_t n,
   return Kernels().tail_at_least(probs, n, threshold, dp_scratch);
 }
 
-void PoissonBinomialTailTable(const double* probs, std::size_t n,
-                              std::size_t threshold,
-                              std::vector<double>* dp_scratch,
-                              std::vector<double>* table) {
-  Kernels().tail_table(probs, n, threshold, dp_scratch, table);
+void PoissonBinomialTailBand(const double* probs, std::size_t n,
+                             std::size_t t_lo, std::size_t t_hi,
+                             std::vector<double>* dp_scratch,
+                             std::vector<double>* band) {
+  Kernels().tail_band(probs, n, t_lo, t_hi, dp_scratch, band);
 }
 
 std::vector<double> PoissonBinomialTailTable(const std::vector<double>& probs,
                                              std::size_t threshold) {
   std::vector<double> dp;
   std::vector<double> table;
-  PoissonBinomialTailTable(probs.data(), probs.size(), threshold, &dp, &table);
+  Kernels().tail_table(probs.data(), probs.size(), threshold, &dp, &table);
   return table;
 }
 

@@ -30,8 +30,10 @@ std::vector<double> PoissonBinomialPmf(const std::vector<double>& probs);
 ///
 /// Uses the truncated dynamic program of the paper's frequent-probability
 /// computation: states 0..threshold-1 plus one absorbing "reached threshold"
-/// state, O(n * threshold) time and O(threshold) space. threshold == 0
-/// returns 1 exactly.
+/// state, O(threshold) space. States that can no longer reach the
+/// threshold with the items left are skipped, so each state lives for at
+/// most n - threshold + 1 items: O(threshold * (n - threshold + 1)) time,
+/// never more than O(n * threshold). threshold == 0 returns 1 exactly.
 double PoissonBinomialTailAtLeast(const std::vector<double>& probs,
                                   std::size_t threshold);
 
@@ -43,29 +45,31 @@ double PoissonBinomialTailAtLeast(const double* probs, std::size_t n,
                                   std::size_t threshold,
                                   std::vector<double>* dp_scratch);
 
-/// Pr{ sum(Bernoulli(p_i)) >= t } for EVERY t in 0..threshold, in one DP
-/// pass. `*table` is resized to threshold + 1 with table[t] the tail
-/// probability at threshold t (table[0] == 1 exactly, table[t] == 0 for
-/// t > n).
+/// Pr{ sum(Bernoulli(p_i)) >= t } for EVERY t in the band t_lo..t_hi
+/// (t_lo <= t_hi), in one DP pass. `*band` is resized to t_hi - t_lo + 1
+/// with band[t - t_lo] the tail probability at threshold t (1 exactly at
+/// t == 0, 0 for t > n).
 ///
 /// Bit-exactness contract (relied on by the evaluation cache): each
-/// table[t] is bit-identical to a direct PoissonBinomialTailAtLeast(probs,
-/// n, t, ...) call. The truncated DP's state s depends only on states
-/// <= s, so its trajectory is the same under every truncation above s;
-/// maintaining one absorbed-mass accumulator per threshold — updated with
-/// `table[t] += dp[t-1] * p` before each item's in-place state update,
-/// exactly where the direct run adds to `reached` — replays each direct
-/// run's floating-point addition sequence verbatim.
+/// band[t - t_lo] is bit-identical to PoissonBinomialTailAtLeast(probs, n,
+/// t, ...). The truncated DP's state s depends only on states <= s, so its
+/// trajectory is the same under every truncation above s; maintaining one
+/// absorbed-mass accumulator per threshold — updated with
+/// `band[t - t_lo] += dp[t-1] * p` before each item's in-place state
+/// update, exactly where the direct run adds to `reached` — replays each
+/// direct run's floating-point addition sequence verbatim. The direct
+/// form is the band [threshold, threshold] of the same kernel body.
 ///
-/// Cost is O(n * threshold) time and O(threshold) space — the same order
-/// as the single largest direct evaluation, so precomputing the whole
-/// table costs at most ~2x one direct run at `threshold`.
-void PoissonBinomialTailTable(const double* probs, std::size_t n,
-                              std::size_t threshold,
-                              std::vector<double>* dp_scratch,
-                              std::vector<double>* table);
+/// Cost is O(t_hi * (n - t_lo + 1)) time, never more than O(n * t_hi), and
+/// O(t_hi) space: states that cannot reach t_lo are skipped, so a band
+/// near n is much cheaper than the full table 0..t_hi.
+void PoissonBinomialTailBand(const double* probs, std::size_t n,
+                             std::size_t t_lo, std::size_t t_hi,
+                             std::vector<double>* dp_scratch,
+                             std::vector<double>* band);
 
-/// Allocating convenience form of PoissonBinomialTailTable.
+/// The band 0..threshold: table[t] = Pr{sum >= t} for every t <= threshold
+/// (table[0] == 1 exactly). Allocating convenience form.
 std::vector<double> PoissonBinomialTailTable(const std::vector<double>& probs,
                                              std::size_t threshold);
 
@@ -85,6 +89,10 @@ struct PoissonBinomialKernels {
   double (*tail_at_least)(const double* probs, std::size_t n,
                           std::size_t threshold,
                           std::vector<double>* dp_scratch);
+  void (*tail_band)(const double* probs, std::size_t n, std::size_t t_lo,
+                    std::size_t t_hi, std::vector<double>* dp_scratch,
+                    std::vector<double>* band);
+  /// The band 0..threshold (PoissonBinomialTailTable).
   void (*tail_table)(const double* probs, std::size_t n, std::size_t threshold,
                      std::vector<double>* dp_scratch,
                      std::vector<double>* table);

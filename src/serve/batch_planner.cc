@@ -34,7 +34,7 @@ BatchPlan PlanBatch(std::span<const MiningRequest> requests) {
     plan.groups[it->second].members.push_back(i);
   }
   // Order each group on the kernel's threshold ladder: ascending
-  // min_sup, stable in submission order, floor = the weakest member.
+  // min_sup, stable in submission order, band = lowest..highest.
   for (BatchGroup& group : plan.groups) {
     std::vector<std::size_t> thresholds;
     thresholds.reserve(group.members.size());
@@ -48,7 +48,7 @@ BatchPlan PlanBatch(std::span<const MiningRequest> requests) {
       ordered.push_back(group.members[position]);
     }
     group.members = std::move(ordered);
-    group.table_floor = ladder.table_floor;
+    group.band = ladder.band;
   }
   return plan;
 }

@@ -3,15 +3,14 @@
 //
 // Requests that differ only in min_sup share almost all of their work —
 // the candidate-index build, the CandidateOracle::Qualify tid-set
-// scans, and the Poisson-binomial tail tables are all computed over the
-// same tidsets, and a tail table computed at the group's WEAKEST
-// (largest) threshold answers every member via the EvalCache's monotone
-// reuse rule. The planner makes that sharing explicit: it partitions a
-// batch into compatibility groups keyed by (algorithm, tid-set mode),
-// orders each group's members on the kernel's ThresholdLadder
-// (ascending min_sup, stable), and assigns the group the ladder's
-// table_floor so the first member's freshly computed tables are
-// extended far enough to answer everyone behind it.
+// scans, and the Poisson-binomial tail bands are all computed over the
+// same tidsets, and a tail band computed over the group's thresholds
+// answers every member as an EvalCache band hit. The planner makes that
+// sharing explicit: it partitions a batch into compatibility groups
+// keyed by (algorithm, tid-set mode), orders each group's members on the
+// kernel's ThresholdLadder (ascending min_sup, stable), and assigns the
+// group the ladder's threshold band so the first member's freshly
+// computed bands reach far enough to answer everyone behind it.
 //
 // Planning is pure and deterministic — same requests, same plan — and
 // never changes results: grouping only decides who pays for shared DP
@@ -40,9 +39,9 @@ struct BatchGroup {
   /// and DP tables the others reuse.
   std::vector<std::size_t> members;
 
-  /// The group's weakest (largest) threshold: every member runs with
-  /// DP tail tables extended to it (SessionBindings::table_floor).
-  std::size_t table_floor = 0;
+  /// The group's smallest and largest thresholds: every member caches
+  /// DP tail bands that reach the top (SessionBindings::table_band).
+  ThresholdBand band;
 };
 
 /// A planned batch: execution groups plus the requests rejected at plan

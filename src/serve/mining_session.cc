@@ -115,14 +115,14 @@ const VerticalIndex& MiningSession::IndexFor(State& state,
 }
 
 MiningResult MiningSession::Mine(const MiningRequest& request) {
-  return MineStep(*state_, request, /*table_floor=*/0);
+  return MineStep(*state_, request, /*table_band=*/{});
 }
 
 MiningResult MiningSession::ResumeFrom(const std::string& path,
                                        const MiningRequest& request) {
   MiningRequest resuming = request;
   resuming.snapshot.resume_path = path;
-  return MineStep(*state_, resuming, /*table_floor=*/0);
+  return MineStep(*state_, resuming, /*table_band=*/{});
 }
 
 bool MiningSession::Admit(State& s, double deadline_seconds) {
@@ -172,7 +172,7 @@ void MiningSession::Release(State& s) {
 
 MiningResult MiningSession::MineStep(State& state,
                                      const MiningRequest& request,
-                                     std::size_t table_floor) {
+                                     ThresholdBand table_band) {
   if (!Admit(state, request.budget.deadline_seconds)) {
     return RejectedResult(state.options);
   }
@@ -186,7 +186,7 @@ MiningResult MiningSession::MineStep(State& state,
   bindings.index = &IndexFor(state, request.params);
   bindings.eval_cache = state.cache.get();
   bindings.warm_start = state.warm.get();
-  bindings.table_floor = table_floor;
+  bindings.table_band = table_band;
   MiningResult result = MineWithBindings(*state.db, request, bindings);
   result.stats.cache_bytes =
       state.cache != nullptr ? state.cache->bytes() : 0;
@@ -209,7 +209,7 @@ void MiningSession::RunSubmitted(State* state,
     result.status_message = "cancelled via RunHandle::Cancel before start";
   } else {
     request.cancel = &ticket->cancel;
-    result = MineStep(*state, request, /*table_floor=*/0);
+    result = MineStep(*state, request, /*table_band=*/{});
   }
   result.stats.queued_micros = queued_micros;
   ticket->result = std::move(result);
@@ -262,7 +262,7 @@ std::vector<MiningResult> MiningSession::MineBatch(
   }
 
   // Pin everything the batch inserts into the eval cache until the last
-  // member finishes: the group leaders' extended tail tables are the
+  // member finishes: the group leaders' tail bands are the
   // shared pass later members answer from, and LRU pressure from
   // concurrent traffic must not evict them mid-batch.
   EvalCache::PinScope pin(state.cache.get());
@@ -281,7 +281,7 @@ std::vector<MiningResult> MiningSession::MineBatch(
       const std::uint64_t queued_micros =
           Micros(batch_clock.ElapsedSeconds());
       MiningResult result =
-          MineStep(state, requests[index], group.table_floor);
+          MineStep(state, requests[index], group.band);
       result.stats.queued_micros = queued_micros;
       // The leader pays for the shared tables; followers' DP reuse is
       // the batch's shared-scan dividend.

@@ -9,16 +9,17 @@
 //   * the tid-set index layer is built once per tid-set mode and shared
 //     by every request (borrowed through ExecutionContext::shared_index);
 //   * per-tidset evaluation results (expected support mu, Poisson-
-//     binomial tail tables) persist in a bounded EvalCache; a tail table
-//     computed at one min_sup answers every smaller min_sup without
-//     re-running the DP (monotonicity-aware reuse);
+//     binomial tail bands) persist in a bounded EvalCache; a tail band
+//     computed over thresholds lo..hi answers every min_sup inside it
+//     without re-running the DP (a band hit), and a min_sup outside
+//     every cached band recomputes;
 //   * per-item infrequency proofs persist in an ItemWarmStart, letting
 //     later runs at equal-or-higher min_sup reject items up front
 //     (anti-monotonicity).
 //
 // Determinism: session state never changes results. Cached values are
 // bit-identical to what a cold run computes (see FrequentProbability and
-// PoissonBinomialTailTable), warm-start proofs only skip work whose
+// PoissonBinomialTailBand), warm-start proofs only skip work whose
 // outcome they already verified, and sampled FCP values are seed-derived
 // per run and never cached. A session run differs from a cold run only in
 // the work counters (dp_runs, cache_hits, cache_misses, dp_reused,
@@ -27,7 +28,7 @@
 // Beyond one-at-a-time Mine(), the session serves whole workloads
 // (DESIGN.md §15): MineBatch() plans a set of requests into shared-scan
 // groups (BatchPlanner) so compatible requests pay for candidate-index
-// builds and DP tail tables once at the group's weakest threshold, and
+// builds and DP tail bands once, in the group's lowest-threshold run, and
 // Submit() runs one request asynchronously behind a RunHandle. Both
 // compose with admission control and keep every per-request result
 // bit-identical to a standalone Mine() of the same request.
@@ -144,8 +145,8 @@ class MiningSession {
 
   /// Serves a whole batch with shared-scan planning (DESIGN.md §15):
   /// PlanBatch groups compatible requests (same algorithm + tid-set
-  /// mode), each group runs ascending-threshold with DP tail tables
-  /// extended to the group's weakest threshold, and distinct groups run
+  /// mode), each group runs ascending-threshold with DP tail bands
+  /// reaching the group's largest threshold, and distinct groups run
   /// concurrently (their work units interleave on the shared
   /// work-stealing pool under fair-share UnitQuota). Results come back
   /// in submission order, each bit-identical to a standalone Mine() of
@@ -155,10 +156,10 @@ class MiningSession {
   /// queued_micros; stats-json schema v6).
   ///
   /// A min_sup sweep is a batch of requests differing only in min_sup:
-  /// they form one group, so the lowest threshold runs first with DP
-  /// tail tables extended to the largest — its candidates are a superset
-  /// of every later run's (anti-monotonicity), and the higher thresholds
-  /// are answered from the cache without re-running the DP.
+  /// they form one group, so the lowest threshold runs first and caches
+  /// DP tail bands from its own threshold up to the largest — its
+  /// candidates are a superset of every later run's (anti-monotonicity),
+  /// and the higher thresholds are band hits that skip the DP.
   std::vector<MiningResult> MineBatch(std::span<const MiningRequest> requests);
 
   const UncertainDatabase& db() const { return *state_->db; }
@@ -226,11 +227,11 @@ class MiningSession {
   static const VerticalIndex& IndexFor(State& state,
                                        const MiningParams& params);
 
-  /// One request with session bindings attached; `table_floor` extends
-  /// freshly cached DP tables for sweep/batch prefilling (0 outside
-  /// planned execution).
+  /// One request with session bindings attached; `table_band` is the
+  /// planned group's thresholds, so freshly cached DP tail bands reach
+  /// its top for batch prefilling ({0, 0} outside planned execution).
   static MiningResult MineStep(State& state, const MiningRequest& request,
-                               std::size_t table_floor);
+                               ThresholdBand table_band);
 
   /// Takes an execution slot (possibly waiting up to `deadline_seconds`
   /// in the admission queue); false means rejected. Always true with

@@ -9,10 +9,14 @@ bool RunHandle::done() const {
   return ticket_->latch.done();
 }
 
-const MiningResult& RunHandle::Wait() const {
+const MiningResult& RunHandle::Wait() const& {
   PFCI_CHECK_MSG(valid(), "RunHandle::Wait on an invalid handle");
   ticket_->latch.Wait();
   return ticket_->result;
+}
+
+MiningResult RunHandle::Wait() && {
+  return static_cast<const RunHandle&>(*this).Wait();
 }
 
 bool RunHandle::TryGet(MiningResult* out) const {

@@ -64,7 +64,12 @@ class RunHandle {
   /// Blocks until the run finishes and returns its result. The reference
   /// stays valid for the handle's lifetime; safe to call repeatedly and
   /// from several threads.
-  const MiningResult& Wait() const;
+  const MiningResult& Wait() const&;
+
+  /// As above on a temporary handle (`session.Submit(r).Wait()`): the
+  /// handle dies at the end of the full expression, and with it perhaps
+  /// the last owner of the result, so the result is returned by value.
+  MiningResult Wait() &&;
 
   /// Non-blocking poll: copies the result into `*out` and returns true
   /// when the run has finished, returns false (leaving `*out` untouched)

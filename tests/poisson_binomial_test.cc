@@ -287,5 +287,130 @@ TEST(PoissonBinomial, TailIsPinned) {
                  "lower band");
 }
 
+/// Every value of the band t_lo..t_hi from `kernels` equals a direct run
+/// at its threshold, on this variant and on the baseline.
+void ExpectBandReplaysDirectRuns(
+    const internal::PoissonBinomialKernels& kernels,
+    const std::vector<double>& probs, std::size_t t_lo, std::size_t t_hi,
+    const std::string& label) {
+  const internal::PoissonBinomialKernels& baseline =
+      internal::RunnablePoissonBinomialKernels().back();
+  const std::size_t n = probs.size();
+  std::vector<double> dp;
+  std::vector<double> band;
+  kernels.tail_band(probs.data(), n, t_lo, t_hi, &dp, &band);
+  ASSERT_EQ(band.size(), t_hi - t_lo + 1);
+  std::vector<double> want;
+  for (std::size_t t = t_lo; t <= t_hi; ++t) {
+    want.push_back(kernels.tail_at_least(probs.data(), n, t, &dp));
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(want.back()),
+              std::bit_cast<std::uint64_t>(
+                  baseline.tail_at_least(probs.data(), n, t, &dp)))
+        << kernels.isa << " " << label << " direct t=" << t;
+  }
+  ExpectSameBits(want, band,
+                 std::string(kernels.isa) + " " + label + " band " +
+                     std::to_string(t_lo) + ".." + std::to_string(t_hi));
+}
+
+TEST(PoissonBinomial, BandsReplayDirectRunsOnEveryIsa) {
+  std::vector<std::pair<std::string, std::vector<double>>> cases;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed);
+    const std::size_t n = 1 + rng.NextBelow(300);
+    const double mean = rng.NextDouble();
+    std::vector<double> probs(n);
+    for (double& p : probs) {
+      p = std::clamp(rng.NextGaussian(mean, 0.25), 0.0, 1.0);
+    }
+    cases.emplace_back("gaussian seed=" + std::to_string(seed), probs);
+  }
+  cases.emplace_back("all ones", std::vector<double>(100, 1.0));
+  {
+    // Bottom states underflow to exact zero while the cut raises the
+    // band from below: both lower limits act on one row.
+    std::vector<double> probs(120, 1.0 - std::ldexp(1.0, -53));
+    for (std::size_t i = 0; i < probs.size(); i += 7) probs[i] = 0.5;
+    cases.emplace_back("underflow", probs);
+  }
+  for (const auto& [label, probs] : cases) {
+    const std::size_t n = probs.size();
+    Rng rng(n);
+    const std::size_t a = 1 + rng.NextBelow(n);
+    const std::size_t b = 1 + rng.NextBelow(n);
+    const std::vector<std::pair<std::size_t, std::size_t>> bands = {
+        {1, 1},          {n / 2, n / 2},         {n - 1, n - 1},
+        {n, n},          {n + 1, n + 1},         {1, n},
+        {0, n + 1},      {n - 1, n},             {n + 1, n + 3},
+        {n * 8 / 10, n * 9 / 10}, {std::min(a, b), std::max(a, b)},
+    };
+    for (const internal::PoissonBinomialKernels& kernels :
+         internal::RunnablePoissonBinomialKernels()) {
+      for (const auto& [t_lo, t_hi] : bands) {
+        ExpectBandReplaysDirectRuns(kernels, probs, t_lo, t_hi, label);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+      // The band 1..T is the old table 1..T.
+      std::vector<double> dp;
+      std::vector<double> table;
+      std::vector<double> band;
+      kernels.tail_table(probs.data(), n, n, &dp, &table);
+      kernels.tail_band(probs.data(), n, 1, n, &dp, &band);
+      ExpectSameBits(std::vector<double>(table.begin() + 1, table.end()),
+                     band, std::string(kernels.isa) + " " + label + " 1..n");
+    }
+  }
+}
+
+TEST(PoissonBinomial, CutTailIsPinned) {
+  // Direct tails at thresholds near n, where the dead-state cut skips
+  // most of the DP. Values captured before the cut existed.
+  struct Pinned {
+    std::uint64_t seed;  // n in [1, 400], p uniform in [0.5, 1)
+    std::size_t n;
+    double at_nine_tenths;  // PoissonBinomialTailAtLeast(probs, 9n/10)
+    double at_n_minus_1;
+    double at_n;
+  };
+  const Pinned kPinned[] = {
+      {3, 138, 0x1.0154bf0482cap-21, 0x1.3236155d70088p-60,
+       0x1.4ccff21fc243dp-66},
+      {5, 159, 0x1.3eaf5acbe1258p-20, 0x1.1a21d983a859p-63,
+       0x1.2643da5f2c859p-69},
+      {8, 347, 0x1.0e662a0a71596p-45, 0x1.bae39d919f7ecp-151,
+       0x1.98d2be5773d07p-158},
+      {13, 88, 0x1.39b935b106935p-11, 0x1.3b9009261fd8ep-32,
+       0x1.33f2fb0ef10d7p-37},
+  };
+  for (const Pinned& pinned : kPinned) {
+    SCOPED_TRACE("seed " + std::to_string(pinned.seed));
+    Rng rng(pinned.seed);
+    const std::size_t n = 1 + rng.NextBelow(400);
+    ASSERT_EQ(n, pinned.n);
+    std::vector<double> probs(n);
+    for (double& p : probs) p = 0.5 + 0.5 * rng.NextDouble();
+    ExpectSameBits({pinned.at_nine_tenths, pinned.at_n_minus_1, pinned.at_n},
+                   {PoissonBinomialTailAtLeast(probs, n * 9 / 10),
+                    PoissonBinomialTailAtLeast(probs, n - 1),
+                    PoissonBinomialTailAtLeast(probs, n)},
+                   "cut");
+  }
+  // The lower-band instance of TailIsPinned near n: the underflowing
+  // bottom states and the cut both bound the band.
+  std::vector<double> probs(30, 1.0 - std::ldexp(1.0, -40));
+  probs.resize(60, 0.5);
+  ExpectSameBits({0x1.54b27fffdf621p-13, 0x1.efffffffc7cp-26,
+                  0x1.ffffffffc4p-31},
+                 {PoissonBinomialTailAtLeast(probs, 55),
+                  PoissonBinomialTailAtLeast(probs, 59),
+                  PoissonBinomialTailAtLeast(probs, 60)},
+                 "cut lower band");
+  const std::vector<double> ones(100, 1.0);
+  ExpectSameBits({1.0, 1.0},
+                 {PoissonBinomialTailAtLeast(ones, 99),
+                  PoissonBinomialTailAtLeast(ones, 100)},
+                 "all ones");
+}
+
 }  // namespace
 }  // namespace pfci

@@ -15,6 +15,8 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/core/eval_cache.h"
@@ -444,33 +446,61 @@ TEST(MiningSession, ResumeFromContinuesASuspendedRunBitIdentically) {
 }
 
 /// EvalCache unit behaviour (exercised directly, without a miner).
-TEST(EvalCache, ProbeInsertAndMonotoneTableReuse) {
+TEST(EvalCache, ProbeInsertAndBandHits) {
   EvalCache::Options options;
   EvalCache cache(options);
-  const TidSet tids(TidList{1, 3, 5}, 10);
+  const TidSet tids(TidList{1, 3, 5, 7, 9, 11, 13}, 20);
 
   EXPECT_FALSE(cache.Probe(tids, 3).found);
-  cache.Insert(tids, 1.5, 3, {1.0, 0.9, 0.6, 0.2});
-  const EvalCache::Lookup at3 = cache.Probe(tids, 3);
-  ASSERT_TRUE(at3.found);
-  ASSERT_TRUE(at3.has_table);
-  EXPECT_EQ(at3.mu, 1.5);
-  EXPECT_EQ(at3.tail, 0.2);
-  // A stored table answers every smaller threshold...
-  const EvalCache::Lookup at1 = cache.Probe(tids, 1);
-  ASSERT_TRUE(at1.has_table);
-  EXPECT_EQ(at1.tail, 0.9);
-  // ...but not larger ones (mu still usable).
-  const EvalCache::Lookup at5 = cache.Probe(tids, 5);
-  EXPECT_TRUE(at5.found);
-  EXPECT_FALSE(at5.has_table);
-  EXPECT_EQ(at5.mu, 1.5);
+  // The band of thresholds 3..5.
+  cache.Insert(tids, 1.5, 3, {0.6, 0.2, 0.1});
+  // A probe hits exactly inside the band...
+  for (const std::size_t t : {3u, 4u, 5u}) {
+    const EvalCache::Lookup hit = cache.Probe(tids, t);
+    ASSERT_TRUE(hit.found) << t;
+    ASSERT_TRUE(hit.has_table) << t;
+    EXPECT_EQ(hit.mu, 1.5);
+  }
+  EXPECT_EQ(cache.Probe(tids, 3).tail, 0.6);
+  EXPECT_EQ(cache.Probe(tids, 5).tail, 0.1);
+  // ...and misses on both sides of it (mu still usable).
+  for (const std::size_t t : {2u, 6u}) {
+    const EvalCache::Lookup miss = cache.Probe(tids, t);
+    EXPECT_TRUE(miss.found) << t;
+    EXPECT_FALSE(miss.has_table) << t;
+    EXPECT_EQ(miss.mu, 1.5);
+  }
+  const std::uint64_t bytes_3_to_5 = cache.bytes();
 
-  // Upgrading to a larger table keeps serving; a smaller one is ignored.
-  cache.Insert(tids, 1.5, 5, {1.0, 0.9, 0.6, 0.2, 0.1, 0.05});
-  EXPECT_TRUE(cache.Probe(tids, 5).has_table);
-  cache.Insert(tids, 1.5, 2, {1.0, 0.9, 0.6});
-  EXPECT_TRUE(cache.Probe(tids, 5).has_table);
+  // A band inside the stored one, or an empty one (mu alone), changes
+  // nothing.
+  cache.Insert(tids, 1.5, 4, {0.2});
+  cache.Insert(tids, 1.5, 0, {});
+  EXPECT_EQ(cache.bytes(), bytes_3_to_5);
+  EXPECT_TRUE(cache.Probe(tids, 3).has_table);
+
+  // An overlapping band merges: 3..5 + 5..7 = 3..7.
+  cache.Insert(tids, 1.5, 5, {0.1, 0.05, 0.01});
+  for (const std::size_t t : {3u, 5u, 7u}) {
+    EXPECT_TRUE(cache.Probe(tids, t).has_table) << t;
+  }
+  EXPECT_EQ(cache.Probe(tids, 3).tail, 0.6);
+  EXPECT_EQ(cache.Probe(tids, 6).tail, 0.05);
+  EXPECT_EQ(cache.Probe(tids, 7).tail, 0.01);
+  EXPECT_FALSE(cache.Probe(tids, 8).has_table);
+  EXPECT_EQ(cache.bytes(), bytes_3_to_5 + 2 * sizeof(double));
+
+  // An adjacent band merges too: 1..2 + 3..7 = 1..7.
+  cache.Insert(tids, 1.5, 1, {0.99, 0.9});
+  EXPECT_EQ(cache.Probe(tids, 1).tail, 0.99);
+  EXPECT_EQ(cache.Probe(tids, 7).tail, 0.01);
+
+  // A disjoint band replaces the stored one.
+  cache.Insert(tids, 1.5, 9, {0.001});
+  EXPECT_TRUE(cache.Probe(tids, 9).has_table);
+  EXPECT_FALSE(cache.Probe(tids, 7).has_table);
+  EXPECT_FALSE(cache.Probe(tids, 1).has_table);
+  EXPECT_EQ(cache.entries(), 1u);
 }
 
 TEST(EvalCache, FingerprintIsRepresentationIndependent) {
@@ -808,6 +838,29 @@ TEST(MiningSession, SequentialSubmitsDoNotAccumulateThreads) {
   EXPECT_LT(MappingCount() - settled, 64);
 }
 
+/// `session.Submit(r).Wait()` waits on a temporary handle: the result is
+/// returned by value, so a reference bound to it (lifetime-extended)
+/// stays valid while later Submits reap the finished ticket.
+TEST(MiningSession, WaitOnATemporaryHandleOutlivesLaterSubmits) {
+  const UncertainDatabase db = MakePaperExampleDb();
+  MiningSession session = MiningSession::Open(db);
+  const MiningRequest request = BaseRequest(Algorithm::kMpfci, 2);
+  const MiningResult reference = Mine(db, request);
+  static_assert(std::is_same_v<decltype(session.Submit(request).Wait()),
+                               MiningResult>);
+  static_assert(
+      std::is_same_v<decltype(std::declval<const RunHandle&>().Wait()),
+                     const MiningResult&>);
+  const auto& first = session.Submit(request).Wait();
+  for (int i = 0; i < 200; ++i) {
+    const auto& result = session.Submit(request).Wait();
+    ASSERT_EQ(result.outcome(), Outcome::kComplete) << result.status_message;
+    if (i % 50 == 0) ExpectIdenticalResults(reference, result);
+  }
+  ASSERT_EQ(first.outcome(), Outcome::kComplete);
+  ExpectIdenticalResults(reference, first);
+}
+
 /// ---- MineBatch(): shared-scan batch planning ----
 
 /// The batch acceptance matrix (DESIGN.md §15): one mixed batch per
@@ -909,6 +962,31 @@ TEST(MiningSession, BatchFollowersShareTheLeadersTables) {
   EXPECT_EQ(batch[2].stats.shared_dp_hits, 0u) << "the leader pays cold";
   EXPECT_GT(batch[0].stats.shared_dp_hits + batch[1].stats.shared_dp_hits, 0u)
       << "followers must answer from the leader's extended tables";
+}
+
+/// A band hit answers only thresholds inside the cached band: a single
+/// below (or above) a batch's band misses, recomputes, and still matches
+/// a cold Mine() bit for bit.
+TEST(MiningSession, SinglesOutsideACachedBandAreBitIdentical) {
+  const UncertainDatabase db = MakeQuestDb(67);
+  MiningSession session = MiningSession::Open(db);
+  std::vector<MiningRequest> requests;
+  for (const std::size_t min_sup : {6u, 8u}) {
+    requests.push_back(BaseRequest(Algorithm::kMpfci, min_sup));
+  }
+  for (const MiningResult& result : session.MineBatch(requests)) {
+    ASSERT_EQ(result.outcome(), Outcome::kComplete) << result.status_message;
+  }
+  for (const std::size_t min_sup : {3u, 4u, 5u, 7u, 9u, 4u}) {
+    SCOPED_TRACE("min_sup=" + std::to_string(min_sup));
+    const MiningRequest request = BaseRequest(Algorithm::kMpfci, min_sup);
+    const MiningResult single = session.Mine(request);
+    ASSERT_EQ(single.outcome(), Outcome::kComplete) << single.status_message;
+    ExpectIdenticalResults(Mine(db, request), single);
+    if (min_sup == 7) {
+      EXPECT_GT(single.stats.dp_reused, 0u) << "inside the 6..8 band";
+    }
+  }
 }
 
 /// ---- EvalCache pin scopes (the batch working-set retention hint) ----
