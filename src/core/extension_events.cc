@@ -35,7 +35,7 @@ ExtensionEventSet::ExtensionEventSet(const VerticalIndex& index,
                                      const Itemset& x, const TidSet& x_tids,
                                      DpWorkspace* workspace,
                                      MiningStats* stats)
-    : index_(&index), freq_(&freq), x_tids_(&x_tids) {
+    : index_(&index), freq_(&freq), x_tids_(&x_tids), stats_(stats) {
   DpWorkspace& ws = workspace != nullptr ? *workspace : LocalDpWorkspace();
   for (Item item : index.occurring_items()) {
     if (x.Contains(item)) continue;
@@ -50,7 +50,7 @@ ExtensionEventSet::ExtensionEventSet(const VerticalIndex& index,
     if (stats != nullptr) ++stats->intersections;
     event.log_miss = LogMissProbability(index, miss);
     if (!std::isfinite(event.log_miss)) continue;
-    event.pr_freq = freq.PrF(event.tids, ws);
+    event.pr_freq = freq.PrF(event.tids, ws, stats);
     event.prob = std::exp(event.log_miss) * event.pr_freq;
     if (event.prob > 0.0) events_.push_back(std::move(event));
   }
@@ -67,7 +67,7 @@ double ExtensionEventSet::PrIntersection(
   const TidSet miss = Difference(*x_tids_, tids);
   const double log_miss = LogMissProbability(*index_, miss);
   if (!std::isfinite(log_miss)) return 0.0;
-  return std::exp(log_miss) * freq_->PrF(tids);
+  return std::exp(log_miss) * freq_->PrF(tids, LocalDpWorkspace(), stats_);
 }
 
 PairwiseProbabilities ExtensionEventSet::BuildPairwise() const {

@@ -39,10 +39,11 @@ struct ExtensionEvent {
 /// The set of active (positive-probability) extension events of X.
 class ExtensionEventSet {
  public:
-  /// Builds the events. `x_tids` must equal index.TidsOf(x). When given,
-  /// `workspace` supplies the PrF scratch buffers (otherwise the calling
-  /// thread's LocalDpWorkspace() is used) and `stats` counts the tid-set
-  /// operations performed.
+  /// Builds the events. `x_tids` must equal index.TidsOf(x) and outlive
+  /// the set. When given, `workspace` supplies the PrF scratch buffers
+  /// (otherwise the calling thread's LocalDpWorkspace() is used) and
+  /// `stats` counts the tid-set operations performed and, here and in
+  /// later PrIntersection calls, the PrF work (dp_runs, cache_*).
   ExtensionEventSet(const VerticalIndex& index,
                     const FrequentProbability& freq, const Itemset& x,
                     const TidSet& x_tids, DpWorkspace* workspace = nullptr,
@@ -71,6 +72,7 @@ class ExtensionEventSet {
   const VerticalIndex* index_;
   const FrequentProbability* freq_;
   const TidSet* x_tids_;
+  MiningStats* stats_;
   std::vector<ExtensionEvent> events_;
   bool has_same_count_extension_ = false;
 };

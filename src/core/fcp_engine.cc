@@ -26,8 +26,7 @@ FcpComputation FcpEngine::Evaluate(const Itemset& x, const TidSet& tids,
                                    double pr_f, Rng& rng, MiningStats* stats,
                                    DpWorkspace* workspace,
                                    WorkUnitBudget* unit) const {
-  return EvaluateInternal(x, tids, pr_f, params_.pfct, rng, stats, workspace,
-                          unit);
+  return EvaluateAt(params_.pfct, x, tids, pr_f, rng, stats, workspace, unit);
 }
 
 FcpComputation FcpEngine::EvaluateAt(double threshold, const Itemset& x,
@@ -35,32 +34,33 @@ FcpComputation FcpEngine::EvaluateAt(double threshold, const Itemset& x,
                                      MiningStats* stats,
                                      DpWorkspace* workspace,
                                      WorkUnitBudget* unit) const {
-  return EvaluateInternal(x, tids, pr_f, threshold, rng, stats, workspace,
-                          unit);
+  FcpPrepared prepared = Prepare(threshold, x, tids, pr_f, stats, workspace);
+  return Sample(prepared, rng, stats, unit);
 }
 
 FcpComputation FcpEngine::ComputeFcp(const Itemset& x, Rng& rng) const {
   const TidSet tids = index_->TidsOf(x);
   const double pr_f = freq_->PrF(tids);
   // pfct = -1 disables every threshold-based early exit.
-  return EvaluateInternal(x, tids, pr_f, -1.0, rng, nullptr, nullptr, nullptr);
+  return EvaluateAt(-1.0, x, tids, pr_f, rng, nullptr);
 }
 
-FcpComputation FcpEngine::EvaluateInternal(const Itemset& x,
-                                           const TidSet& tids, double pr_f,
-                                           double pfct, Rng& rng,
-                                           MiningStats* stats,
-                                           DpWorkspace* workspace,
-                                           WorkUnitBudget* unit) const {
-  FcpComputation out;
+FcpPrepared FcpEngine::Prepare(double pfct, const Itemset& x,
+                               const TidSet& tids, double pr_f,
+                               MiningStats* stats,
+                               DpWorkspace* workspace) const {
+  FcpPrepared prepared;
+  prepared.threshold = pfct;
+  FcpComputation& out = prepared.comp;
   out.pr_f = pr_f;
   // PrFC <= PrF: an infrequent itemset can never qualify.
   if (pr_f <= pfct) {
     out.is_pfci = false;
-    return out;
+    return prepared;
   }
 
-  const ExtensionEventSet events(*index_, *freq_, x, tids, workspace, stats);
+  const ExtensionEventSet& events =
+      prepared.events.emplace(*index_, *freq_, x, tids, workspace, stats);
 
   // Lemmas 4.2/4.3 endgame: a same-count superset forces PrFC(X) = 0.
   if (events.HasSameCountExtension()) {
@@ -68,7 +68,8 @@ FcpComputation FcpEngine::EvaluateInternal(const Itemset& x,
     out.method = FcpMethod::kZeroByCount;
     out.is_pfci = false;
     if (stats != nullptr) ++stats->zero_by_count;
-    return out;
+    prepared.events.reset();
+    return prepared;
   }
 
   if (params_.pruning.fcp_bounds) {
@@ -79,14 +80,16 @@ FcpComputation FcpEngine::EvaluateInternal(const Itemset& x,
       out.method = FcpMethod::kBoundsDecided;
       out.is_pfci = false;
       if (stats != nullptr) ++stats->decided_by_bounds;
-      return out;
+      prepared.events.reset();
+      return prepared;
     }
     if (out.bounds.upper - out.bounds.lower < kBoundsMeetTolerance) {
       out.fcp = 0.5 * (out.bounds.upper + out.bounds.lower);
       out.method = FcpMethod::kBoundsDecided;
       out.is_pfci = out.fcp > pfct;
       if (stats != nullptr) ++stats->decided_by_bounds;
-      return out;
+      prepared.events.reset();
+      return prepared;
     }
   }
 
@@ -97,46 +100,56 @@ FcpComputation FcpEngine::EvaluateInternal(const Itemset& x,
   const bool exact_eligible =
       !params_.force_sampling && events.size() <= params_.exact_event_limit &&
       events.size() <= kMaxInclusionExclusionEvents;
-  const bool degraded = exact_eligible && exec_.runtime != nullptr &&
-                        exec_.runtime->ShouldDegradeFcp();
-  if (exact_eligible && !degraded) {
+  prepared.degraded = exact_eligible && exec_.runtime != nullptr &&
+                      exec_.runtime->ShouldDegradeFcp();
+  if (exact_eligible && !prepared.degraded) {
     out.fcp = ExactFcpByInclusionExclusion(pr_f, events);
     out.method = FcpMethod::kExact;
+    out.is_pfci = out.fcp > pfct;
     if (stats != nullptr) ++stats->exact_fcp_computations;
-  } else {
-    // Pre-claim the full Karp-Luby sample requirement from the logical
-    // ledger so an estimate is complete or never attempted. A refusal
-    // leaves `rng` untouched (the sampler never runs), so everything the
-    // unit emitted before this point matches an unbudgeted run
-    // bit-for-bit; the caller must then wind the unit down.
-    if (unit != nullptr && events.size() > 0 &&
-        !unit->TakeSamples(KarpLubyRequiredSamples(
-            events.size(), params_.epsilon, params_.delta))) {
-      out.undecided = true;
-      return out;
-    }
-    const ApproxFcpResult approx =
-        ApproxFcp(pr_f, events, params_.epsilon, params_.delta, rng,
-                  exec_.pool, exec_.deterministic, exec_.runtime);
-    if (approx.aborted) {
-      // A global stop interrupted the batches: the estimate carries no
-      // FPRAS guarantee, so the itemset stays undecided and unemitted.
-      out.undecided = true;
-      return out;
-    }
-    out.fcp = approx.fcp;
-    out.samples = approx.samples;
-    out.method = FcpMethod::kSampled;
-    if (out.bounds_computed) {
-      out.fcp = std::clamp(out.fcp, out.bounds.lower, out.bounds.upper);
-    }
-    if (stats != nullptr) {
-      ++stats->sampled_fcp_computations;
-      stats->total_samples += approx.samples;
-      if (degraded) ++stats->degraded_fcp_evals;
-    }
+    prepared.events.reset();
   }
-  out.is_pfci = out.fcp > pfct;
+  return prepared;
+}
+
+FcpComputation FcpEngine::Sample(FcpPrepared& prepared, Rng& rng,
+                                 MiningStats* stats,
+                                 WorkUnitBudget* unit) const {
+  FcpComputation& out = prepared.comp;
+  if (!prepared.NeedsSampler()) return out;
+  const ExtensionEventSet& events = *prepared.events;
+  // Pre-claim the full Karp-Luby sample requirement from the logical
+  // ledger so an estimate is complete or never attempted. A refusal
+  // leaves `rng` untouched (the sampler never runs), so everything the
+  // unit emitted before this point matches an unbudgeted run
+  // bit-for-bit; the caller must then wind the unit down.
+  if (unit != nullptr && events.size() > 0 &&
+      !unit->TakeSamples(KarpLubyRequiredSamples(
+          events.size(), params_.epsilon, params_.delta))) {
+    out.undecided = true;
+    return out;
+  }
+  const ApproxFcpResult approx =
+      ApproxFcp(out.pr_f, events, params_.epsilon, params_.delta, rng,
+                exec_.pool, exec_.deterministic, exec_.runtime);
+  if (approx.aborted) {
+    // A global stop interrupted the batches: the estimate carries no
+    // FPRAS guarantee, so the itemset stays undecided and unemitted.
+    out.undecided = true;
+    return out;
+  }
+  out.fcp = approx.fcp;
+  out.samples = approx.samples;
+  out.method = FcpMethod::kSampled;
+  if (out.bounds_computed) {
+    out.fcp = std::clamp(out.fcp, out.bounds.lower, out.bounds.upper);
+  }
+  if (stats != nullptr) {
+    ++stats->sampled_fcp_computations;
+    stats->total_samples += approx.samples;
+    if (prepared.degraded) ++stats->degraded_fcp_evals;
+  }
+  out.is_pfci = out.fcp > prepared.threshold;
   return out;
 }
 

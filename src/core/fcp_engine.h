@@ -10,6 +10,7 @@
 #define PFCI_CORE_FCP_ENGINE_H_
 
 #include <cstdint>
+#include <optional>
 
 #include "src/core/execution.h"
 #include "src/core/extension_events.h"
@@ -39,6 +40,22 @@ struct FcpComputation {
   /// and (to keep the per-unit RNG stream aligned with an unbudgeted run)
   /// the calling work unit must stop evaluating further itemsets.
   bool undecided = false;
+};
+
+/// The random-number-free part of one evaluation (FcpEngine::Prepare):
+/// a verdict when the same-count rule, the Lemma 4.4 bounds or exact
+/// inclusion-exclusion settled it, else the extension events the sampler
+/// step (FcpEngine::Sample) draws from. A pure function of (X, Tids(X),
+/// PrF(X), threshold), so it may be computed ahead of time on any thread.
+struct FcpPrepared {
+  FcpComputation comp;
+  double threshold = 0.0;  ///< The threshold Prepare decided against.
+  bool degraded = false;   ///< Exact IE gave way to the sampler (deadline).
+  /// Held only while the sampler still has to run; a decided evaluation
+  /// drops its events. Points at the Tids(X) passed to Prepare.
+  std::optional<ExtensionEventSet> events;
+
+  bool NeedsSampler() const { return events.has_value(); }
 };
 
 /// Stateless evaluator bound to a database and mining parameters. Safe to
@@ -79,6 +96,20 @@ class FcpEngine {
                             DpWorkspace* workspace = nullptr,
                             WorkUnitBudget* unit = nullptr) const;
 
+  /// EvaluateAt in two steps. Prepare runs everything that draws no
+  /// random number (extension events, zero-by-count, Lemma 4.4 bounds,
+  /// exact inclusion-exclusion) and counts that work into `stats`; it
+  /// touches no RNG, budget or checkpoint and reads `tids` until Sample
+  /// returns. Sample finishes a prepared evaluation: when the sampler is
+  /// needed it claims the samples from `unit` and runs ApproxFcp on
+  /// `rng`, else it returns Prepare's verdict. Evaluate(At) is exactly
+  /// Sample(Prepare(...)).
+  FcpPrepared Prepare(double threshold, const Itemset& x, const TidSet& tids,
+                      double pr_f, MiningStats* stats,
+                      DpWorkspace* workspace = nullptr) const;
+  FcpComputation Sample(FcpPrepared& prepared, Rng& rng, MiningStats* stats,
+                        WorkUnitBudget* unit = nullptr) const;
+
   /// Computes PrFC(X) to full available precision regardless of pfct
   /// (bounds are still used to report [lower, upper]).
   FcpComputation ComputeFcp(const Itemset& x, Rng& rng) const;
@@ -87,11 +118,6 @@ class FcpEngine {
   const MiningParams& params() const { return params_; }
 
  private:
-  FcpComputation EvaluateInternal(const Itemset& x, const TidSet& tids,
-                                  double pr_f, double pfct, Rng& rng,
-                                  MiningStats* stats, DpWorkspace* workspace,
-                                  WorkUnitBudget* unit) const;
-
   const VerticalIndex* index_;
   const FrequentProbability* freq_;
   MiningParams params_;

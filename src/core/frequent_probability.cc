@@ -34,8 +34,19 @@ FrequentProbability::FrequentProbability(const VerticalIndex& index,
               (table_band.lo <= min_sup && min_sup <= table_band.hi));
 }
 
+void FrequentProbability::Count(MiningStats* counts,
+                                std::uint64_t MiningStats::*field,
+                                std::atomic<std::uint64_t>& shared) const {
+  if (counts != nullptr) {
+    ++(counts->*field);
+  } else {
+    shared.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
 double FrequentProbability::PrFFromProbs(const std::vector<double>& probs,
-                                         std::vector<double>* dp_scratch) const {
+                                         std::vector<double>* dp_scratch,
+                                         MiningStats* counts) const {
   if (probs.size() < min_sup_) return 0.0;
   const double mu = PoissonBinomialMean(probs);
   const double s = static_cast<double>(min_sup_);
@@ -43,26 +54,22 @@ double FrequentProbability::PrFFromProbs(const std::vector<double>& probs,
   if (BestUpperTailBound(mu, probs.size(), s) < kNegligible) return 0.0;
   // Lower-tail short circuit: Pr{S <= min_sup - 1} ~ 0 -> PrF ~ 1.
   if (ChernoffLowerTail(mu, s - 1.0) < kNegligible) return 1.0;
-  dp_runs_.fetch_add(1, std::memory_order_relaxed);
+  Count(counts, &MiningStats::dp_runs, dp_runs_);
   return PoissonBinomialTailAtLeast(probs.data(), probs.size(), min_sup_,
                                     dp_scratch);
 }
 
-double FrequentProbability::PrFFromProbs(
-    const std::vector<double>& probs) const {
-  return PrFFromProbs(probs, &LocalDpWorkspace().dp);
-}
-
-double FrequentProbability::PrF(const TidSet& tids,
-                                DpWorkspace& workspace) const {
+double FrequentProbability::PrF(const TidSet& tids, DpWorkspace& workspace,
+                                MiningStats* counts) const {
   if (tids.size() < min_sup_) return 0.0;
-  if (cache_ != nullptr) return CachedPrF(tids, workspace);
+  if (cache_ != nullptr) return CachedPrF(tids, workspace, counts);
   index_->GatherProbs(tids, &workspace.probs);
-  return PrFFromProbs(workspace.probs, &workspace.dp);
+  return PrFFromProbs(workspace.probs, &workspace.dp, counts);
 }
 
 double FrequentProbability::CachedPrF(const TidSet& tids,
-                                      DpWorkspace& workspace) const {
+                                      DpWorkspace& workspace,
+                                      MiningStats* counts) const {
   const double s = static_cast<double>(min_sup_);
   const EvalCache::Lookup lookup = cache_->Probe(tids, min_sup_);
   if (lookup.found) {
@@ -72,16 +79,16 @@ double FrequentProbability::CachedPrF(const TidSet& tids,
     // cached mu is the ascending-tid-order sum, the same value
     // PoissonBinomialMean produces from the gathered probabilities.
     if (BestUpperTailBound(lookup.mu, tids.size(), s) < kNegligible) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
+      Count(counts, &MiningStats::cache_hits, cache_hits_);
       return 0.0;
     }
     if (ChernoffLowerTail(lookup.mu, s - 1.0) < kNegligible) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
+      Count(counts, &MiningStats::cache_hits, cache_hits_);
       return 1.0;
     }
     if (lookup.has_table) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      dp_reused_.fetch_add(1, std::memory_order_relaxed);
+      Count(counts, &MiningStats::cache_hits, cache_hits_);
+      Count(counts, &MiningStats::dp_reused, dp_reused_);
       return lookup.tail;
     }
   }
@@ -91,7 +98,7 @@ double FrequentProbability::CachedPrF(const TidSet& tids,
   // rejected by the tids.size() check before reaching the cache). Every
   // value in the band is bit-identical to a direct DP at its threshold,
   // so hi changes work done, never values.
-  cache_misses_.fetch_add(1, std::memory_order_relaxed);
+  Count(counts, &MiningStats::cache_misses, cache_misses_);
   index_->GatherProbs(tids, &workspace.probs);
   const std::vector<double>& probs = workspace.probs;
   const double mu =
@@ -115,7 +122,7 @@ double FrequentProbability::CachedPrF(const TidSet& tids,
       if (hi > min_sup_ &&
           ChernoffLowerTail(mu, static_cast<double>(hi) - 1.0) >=
               kNegligible) {
-        dp_runs_.fetch_add(1, std::memory_order_relaxed);
+        Count(counts, &MiningStats::dp_runs, dp_runs_);
         std::vector<double> band;
         PoissonBinomialTailBand(probs.data(), probs.size(), min_sup_, hi,
                                 &workspace.dp, &band);
@@ -126,7 +133,7 @@ double FrequentProbability::CachedPrF(const TidSet& tids,
       return 1.0;
     }
   }
-  dp_runs_.fetch_add(1, std::memory_order_relaxed);
+  Count(counts, &MiningStats::dp_runs, dp_runs_);
   std::vector<double> band;
   PoissonBinomialTailBand(probs.data(), probs.size(), min_sup_, hi,
                           &workspace.dp, &band);

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "src/core/execution.h"
+#include "src/core/mining_result.h"
 #include "src/data/tidset.h"
 #include "src/data/vertical_index.h"
 
@@ -46,13 +47,13 @@ class FrequentProbability {
   /// circuits described above). Uses the calling thread's workspace.
   double PrF(const TidSet& tids) const;
 
-  /// As above with an explicit workspace (zero-alloc once warm).
-  double PrF(const TidSet& tids, DpWorkspace& workspace) const;
-
-  /// Exact PrF from raw probabilities.
-  double PrFFromProbs(const std::vector<double>& probs) const;
-  double PrFFromProbs(const std::vector<double>& probs,
-                      std::vector<double>* dp_scratch) const;
+  /// As above with an explicit workspace (zero-alloc once warm). With a
+  /// non-null `counts`, the call's dp_runs / cache_* work lands in that
+  /// partial instead of on the shared counters below: a caller that may
+  /// discard the work (an explored node the search never reaches) keeps
+  /// it out of the run's totals by dropping the partial.
+  double PrF(const TidSet& tids, DpWorkspace& workspace,
+             MiningStats* counts = nullptr) const;
 
   /// Cheap upper bound on PrF (Lemma 4.1's Chernoff-Hoeffding bound):
   /// never smaller than the exact value. Allocation-free.
@@ -61,10 +62,11 @@ class FrequentProbability {
   std::size_t min_sup() const { return min_sup_; }
   const VerticalIndex& index() const { return *index_; }
 
-  /// Number of exact DP executions so far (work accounting). The counter
-  /// is atomic so one evaluator can be shared by all tasks of a parallel
-  /// mining run; the total is deterministic (the set of DPs executed does
-  /// not depend on scheduling), only the increment order varies.
+  /// Number of exact DP executions so far that were not counted into a
+  /// caller's partial (work accounting). The counter is atomic so one
+  /// evaluator can be shared by all tasks of a parallel mining run; the
+  /// total is deterministic (the set of DPs executed does not depend on
+  /// scheduling), only the increment order varies.
   std::uint64_t dp_runs() const {
     return dp_runs_.load(std::memory_order_relaxed);
   }
@@ -93,7 +95,15 @@ class FrequentProbability {
   }
 
  private:
-  double CachedPrF(const TidSet& tids, DpWorkspace& workspace) const;
+  double CachedPrF(const TidSet& tids, DpWorkspace& workspace,
+                   MiningStats* counts) const;
+  /// Exact PrF from the gathered probabilities of Tids(X).
+  double PrFFromProbs(const std::vector<double>& probs,
+                      std::vector<double>* dp_scratch,
+                      MiningStats* counts) const;
+  /// Adds one to `field` of `counts`, or to `shared` when counts is null.
+  void Count(MiningStats* counts, std::uint64_t MiningStats::*field,
+             std::atomic<std::uint64_t>& shared) const;
 
   const VerticalIndex* index_;
   std::size_t min_sup_;

@@ -45,8 +45,12 @@ void MiningStats::MergeCounters(const MiningStats& part) {
   exact_fcp_computations += part.exact_fcp_computations;
   sampled_fcp_computations += part.sampled_fcp_computations;
   total_samples += part.total_samples;
+  dp_runs += part.dp_runs;
   intersections += part.intersections;
   degraded_fcp_evals += part.degraded_fcp_evals;
+  cache_hits += part.cache_hits;
+  cache_misses += part.cache_misses;
+  dp_reused += part.dp_reused;
 }
 
 std::string MiningStats::ToString() const {

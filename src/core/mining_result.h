@@ -122,14 +122,15 @@ struct MiningStats {
   bool resumed = false;
 
   /// Adds `part`'s per-work counters (nodes_visited through
-  /// intersections above) into this object. This is the single merge
-  /// point for per-task / per-evaluation counter partials: dp_runs and
-  /// the cache_* counters are excluded (they live on the shared
-  /// FrequentProbability evaluator and are folded in once by the
-  /// coordinating thread), as are the wall-clock and outcome fields. A
-  /// size guard in mining_result.cc makes the merge exhaustive by
-  /// construction: growing MiningStats without updating MergeCounters
-  /// fails the build.
+  /// intersections, plus cache_hits, cache_misses and dp_reused) into
+  /// this object. This is the single merge point for per-task /
+  /// per-evaluation counter partials. dp_runs and the cache_* counters
+  /// land in a partial when its owner passed it to
+  /// FrequentProbability::PrF; work done without one is counted on the
+  /// shared evaluator and folded in once by the coordinating thread. The
+  /// wall-clock, outcome and batch fields are not merged. A size guard in
+  /// mining_result.cc makes the merge exhaustive by construction: growing
+  /// MiningStats without updating MergeCounters fails the build.
   void MergeCounters(const MiningStats& part);
 
   std::string ToString() const;

@@ -40,8 +40,9 @@ double CandidateOracle::Qualify(const TidSet& tids, const QualifyRequest& req,
   // distributional tail approximation for the approximate PFI modes.
   double pr_f;
   if (mode_ == FrequencyMode::kExactDp) {
-    pr_f = req.workspace != nullptr ? freq_->PrF(tids, *req.workspace)
-                                    : freq_->PrF(tids);
+    pr_f = freq_->PrF(
+        tids, req.workspace != nullptr ? *req.workspace : LocalDpWorkspace(),
+        stats);
   } else {
     DpWorkspace& ws =
         req.workspace != nullptr ? *req.workspace : LocalDpWorkspace();

@@ -14,6 +14,12 @@ namespace pfci {
 
 namespace {
 
+/// Look-ahead cap per pool thread: the nodes a parallel MPFCI search may
+/// hold explored ahead of the walks. It bounds the extra memory (a node
+/// kept for the sampler holds its extension events) and never changes a
+/// result.
+constexpr std::size_t kLookaheadNodesPerThread = 16;
+
 /// Rebuilds an itemset's tid-list by intersecting its items' tid-sets.
 /// Restore-path only: deliberately does NOT bump stats.intersections —
 /// the suspended run already counted the ops that first produced this
@@ -72,7 +78,17 @@ void WorkStealingDfsFrontier::Search(const SearchContext& ctx,
   subtree_.resize(n);
   done_.assign(n, 0);
   const double pfct = ctx.params->pfct;
+  ThreadPool* pool = ctx.exec->pool;
+  const bool parallel = pool != nullptr && pool->num_threads() > 1;
+  // Look-ahead (DESIGN.md §7): once every unit has started, idle threads
+  // explore the remaining units' tree nodes ahead of their walks.
+  DfsLookahead lookahead;
+  lookahead.pool = pool;
+  lookahead.cap = parallel ? kLookaheadNodesPerThread * pool->num_threads()
+                           : 0;
+  lookahead.units_waiting.store(n, std::memory_order_relaxed);
   const auto mine_subtree = [&](std::size_t c) {
+    lookahead.units_waiting.fetch_sub(1, std::memory_order_relaxed);
     if (restored_done_.size() == n && restored_done_[c]) return;
     if (DrainPending(ctx.rt)) return;
     Rng rng(DeriveSeed(ctx.params->seed, candidates_[c]));
@@ -98,6 +114,7 @@ void WorkStealingDfsFrontier::Search(const SearchContext& ctx,
       part.itemsets.push_back(std::move(entry));
       if (ctx.exec->progress != nullptr) ctx.exec->progress->AddItemsets();
     };
+    dfs.lookahead = parallel ? &lookahead : nullptr;
     ClosedDfs(dfs, Itemset{candidates_[c]},
               ctx.index->TidsOfItem(candidates_[c]), candidate_pr_f_[c], c);
     if (unit.truncated && ctx.rt != nullptr) {
@@ -109,10 +126,10 @@ void WorkStealingDfsFrontier::Search(const SearchContext& ctx,
     done_[c] = 1;
     NoteUnitWork(ctx.rt, part.stats.nodes_visited, part.stats.total_samples);
   };
-  if (ctx.exec->pool != nullptr && ctx.exec->pool->num_threads() > 1) {
+  if (parallel) {
     // Grain 1: first-level subtrees vary wildly in cost; stealing at
     // single-subtree granularity is what balances them.
-    ctx.exec->pool->ParallelFor(n, mine_subtree, /*grain=*/1);
+    pool->ParallelFor(n, mine_subtree, /*grain=*/1);
   } else {
     for (std::size_t c = 0; c < n; ++c) mine_subtree(c);
   }

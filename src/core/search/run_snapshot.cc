@@ -1,5 +1,7 @@
 #include "src/core/search/run_snapshot.h"
 
+#include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
@@ -13,8 +15,21 @@
 namespace pfci {
 namespace {
 
-constexpr char kHeader[] = "pfci-snapshot v1";
-constexpr char kFooter[] = "end pfci-snapshot v1";
+constexpr char kHeader[] = "pfci-snapshot v2";
+constexpr char kFooter[] = "end pfci-snapshot v2";
+/// The unchecksummed predecessor, refused by name.
+constexpr char kV1Header[] = "pfci-snapshot v1";
+constexpr char kChecksumKey[] = "checksum";
+
+/// 64-bit FNV-1a over raw bytes: the snapshot's integrity checksum.
+std::uint64_t Fnv1a(std::string_view bytes) {
+  std::uint64_t hash = 14695981039346656037ULL;
+  for (char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
 
 // The deterministic work counters of MiningStats, in serialization order.
 // Cache counters, wall-clock fields, and outcome are not snapshot state.
@@ -261,19 +276,56 @@ std::string SerializeRunSnapshot(const RunSnapshot& snapshot) {
   }
   out << '\n';
   out << kFooter << '\n';
-  return out.str();
+  const std::string body = out.str();
+  return body + kChecksumKey + ' ' + std::to_string(Fnv1a(body)) + '\n';
 }
 
 bool ParseRunSnapshot(std::string_view text, RunSnapshot* snapshot,
                       std::string* error) {
   *snapshot = RunSnapshot();
-  LineReader reader(text);
   std::string_view line;
-
-  if (!reader.Next(&line) || line != kHeader) {
-    return Fail(error, reader.lineno(),
-                "missing '" + std::string(kHeader) + "' header");
+  {
+    LineReader header(text);
+    if (header.Next(&line) && line == kV1Header) {
+      return Fail(error, header.lineno(),
+                  "snapshot format v1 has no checksum and is no longer "
+                  "read; rerun the request to write a v2 snapshot");
+    }
+    if (line != kHeader) {
+      return Fail(error, header.lineno(),
+                  "missing '" + std::string(kHeader) + "' header");
+    }
   }
+
+  // The last non-empty line is "checksum <u64>", the FNV-1a of every
+  // byte before it. Check it before reading any field, so a flipped bit
+  // anywhere is refused rather than resumed into a wrong answer.
+  std::size_t end = text.size();
+  while (end > 0 && std::isspace(static_cast<unsigned char>(text[end - 1]))) {
+    --end;
+  }
+  const std::size_t last_line = text.rfind('\n', end == 0 ? 0 : end - 1);
+  const std::size_t checksum_at =
+      last_line == std::string_view::npos ? 0 : last_line + 1;
+  const int checksum_lineno =
+      1 + static_cast<int>(std::count(text.begin(),
+                                      text.begin() + checksum_at, '\n'));
+  const std::vector<std::string> checksum_tokens =
+      SplitTokens(text.substr(checksum_at, end - checksum_at));
+  std::uint64_t checksum = 0;
+  if (checksum_tokens.size() != 2 || checksum_tokens[0] != kChecksumKey ||
+      !ParseU64(checksum_tokens[1], &checksum)) {
+    return Fail(error, checksum_lineno,
+                "missing 'checksum <u64>' line (torn snapshot?)");
+  }
+  const std::string_view body = text.substr(0, checksum_at);
+  if (Fnv1a(body) != checksum) {
+    return Fail(error, checksum_lineno,
+                "checksum mismatch: the snapshot is corrupt");
+  }
+
+  LineReader reader(body);
+  reader.Next(&line);  // The header, checked above.
 
   auto next_fields = [&](const char* key,
                          std::vector<std::string>* tokens) -> bool {

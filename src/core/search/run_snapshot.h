@@ -12,9 +12,10 @@
 // On disk the snapshot is a versioned line-based text file. Probabilities
 // go through FormatDoubleRoundTrip so every double survives the
 // round-trip bit-exactly (including 1e-12 and 1.0 atoms — pinned by
-// tests/repros). The file ends with an explicit end marker: a parse only
-// succeeds on a complete file, so a torn write is detected as corrupt
-// rather than silently resumed. SaveRunSnapshotAtomic writes to a
+// tests/repros). The data ends with an explicit end marker, and the last
+// line is an FNV-1a checksum of every byte before it: a parse only
+// succeeds on a complete, unaltered file, so a torn write or a flipped
+// byte is refused rather than silently resumed. SaveRunSnapshotAtomic writes to a
 // sibling temp file and renames it into place — a crash at any point
 // (exercised by the PFCI_FAILPOINT sites inside) leaves the target
 // either the old complete snapshot or the new complete one, never torn.
@@ -93,13 +94,14 @@ struct RunSnapshot {
 
 /// Adds the snapshot's 13 deterministic base counters into `stats`
 /// (resume seeding: the restored run then accumulates only new work, and
-/// the totals match an uninterrupted run). MergeCounters is NOT used
-/// here on purpose — it excludes dp_runs, which for a completed prior
-/// session is a settled deterministic total that must carry over.
+/// the totals match an uninterrupted run). Exactly the counters the
+/// snapshot format carries, dp_runs included (for a completed prior
+/// session it is a settled deterministic total that must carry over);
+/// the cache_* counters describe one session's cache and do not.
 void AddBaseStats(const MiningStats& base, MiningStats* stats);
 
 /// Renders the snapshot in the versioned text format (ends with the
-/// completeness marker).
+/// completeness marker and the checksum line).
 std::string SerializeRunSnapshot(const RunSnapshot& snapshot);
 
 /// Parses `text`; returns false (with a diagnostic in *error) on any

@@ -16,6 +16,8 @@
 #ifndef PFCI_CORE_SEARCH_SEARCH_DRIVER_H_
 #define PFCI_CORE_SEARCH_SEARCH_DRIVER_H_
 
+#include <atomic>
+#include <cstddef>
 #include <functional>
 
 #include "src/core/execution.h"
@@ -104,6 +106,25 @@ class FrontierPolicy {
 MiningResult RunSearch(const UncertainDatabase& db, const MiningParams& params,
                        const ExecutionContext& exec, FrontierPolicy& policy);
 
+/// Run-wide look-ahead state of one parallel MPFCI search (DESIGN.md §7).
+/// With it, idle pool threads explore tree nodes (everything that draws
+/// no random number) ahead of each unit's walk, which still retires the
+/// nodes one by one in sequential order.
+struct DfsLookahead {
+  ThreadPool* pool = nullptr;  ///< Runs the explore tasks (> 1 thread).
+  /// Cap on nodes explored ahead and not yet retired, over all units.
+  std::size_t cap = 0;
+  std::atomic<std::size_t> nodes{0};
+  /// First-level units not yet started. Look-ahead stays off until it
+  /// reaches 0: while units wait, the unit loop already has work for
+  /// every thread.
+  std::atomic<std::size_t> units_waiting{0};
+
+  bool Open() const {
+    return units_waiting.load(std::memory_order_relaxed) == 0;
+  }
+};
+
 /// Per-call state of one closed-itemset DFS work unit (an MPFCI
 /// first-level subtree, or the top-k run's single unit). The stats/rng/
 /// unit objects are owned by the caller and mutated in place.
@@ -122,6 +143,9 @@ struct ClosedDfsContext {
   /// Receives each certified qualifying itemset (appends to a partial
   /// result, or offers into the top-k pool). Owns progress reporting.
   std::function<void(PfciEntry)> emit;
+  /// Null: each node is explored as the walk reaches it. Set only with a
+  /// constant `threshold` (explored-ahead work is decided against it).
+  DfsLookahead* lookahead = nullptr;
 };
 
 /// The set-enumeration-tree DFS shared by the work-stealing and top-k
@@ -129,6 +153,14 @@ struct ClosedDfsContext {
 /// the oracle, subset pruning, and endgame certification (Fig. 1's
 /// Bounding-Pruning-Checking per node). `x` extends only with candidate
 /// items after position `last_candidate_pos`.
+///
+/// Each node is split into an explore step (superset pruning, each
+/// child's Intersect + Qualify, FcpEngine::Prepare), whose work is kept
+/// in per-node counter partials, and a retire step: the walk itself, in
+/// sequential order, which does every checkpoint, budget charge, RNG
+/// draw and emission and merges a node's partials only when it reaches
+/// them. With `dfs.lookahead`, explore steps run ahead on the pool; the
+/// results, counters included, are those of the plain walk.
 void ClosedDfs(ClosedDfsContext& dfs, const Itemset& x, const TidSet& tids,
                double pr_f, std::size_t last_candidate_pos);
 

@@ -108,6 +108,18 @@ void ThreadPool::WorkerLoop(std::size_t self) {
   }
 }
 
+void ThreadPool::Spawn(std::function<void()> task) {
+  const std::size_t slot =
+      tls_worker_slot != 0 ? tls_worker_slot - 1
+                           : next_slot_.fetch_add(1, std::memory_order_relaxed);
+  Push(slot, std::move(task));
+}
+
+bool ThreadPool::RunPendingTask() {
+  if (queues_.empty()) return false;
+  return RunOneTask(tls_worker_slot != 0 ? tls_worker_slot - 1 : kNotAWorker);
+}
+
 void ThreadPool::ParallelFor(std::size_t count,
                              const std::function<void(std::size_t)>& body,
                              std::size_t grain) {

@@ -56,6 +56,19 @@ class ThreadPool {
                    const std::function<void(std::size_t)>& body,
                    std::size_t grain = 0);
 
+  /// Queues `task` to run once on some pool thread and returns at once
+  /// (fire-and-forget). Called from a worker, the task goes onto that
+  /// worker's own deque, so the worker itself pops it LIFO while idle
+  /// threads steal it FIFO. Requires num_threads() > 1. The caller owns
+  /// completion tracking: whatever the task touches must outlive it, and
+  /// a waiter helps with RunPendingTask until the task signals done.
+  void Spawn(std::function<void()> task);
+
+  /// Runs one pending task (any queue) on the calling thread; false when
+  /// every queue was empty. The helping half of a caller-owned wait loop
+  /// (see Spawn), with the same no-deadlock property as ParallelFor's.
+  bool RunPendingTask();
+
   /// Hardware concurrency, at least 1.
   static std::size_t DefaultThreads();
 

@@ -12,6 +12,7 @@
 #include "src/core/mine.h"
 #include "src/datagen/probability_assigner.h"
 #include "src/datagen/quest_generator.h"
+#include "src/util/random.h"
 #include "src/util/thread_pool.h"
 
 namespace pfci {
@@ -271,6 +272,126 @@ TEST_P(ParallelDeterminismTest, PreCancelledRunIdenticalAcrossThreadCounts) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelDeterminismTest,
+                         ::testing::Values(1u, 7u, 42u));
+
+// A skewed tree: item 0 is in every transaction, so every first-level
+// unit rooted at a later item is superset-pruned at its root (Lemma 4.2)
+// and unit 0 holds almost the whole search. Its nodes are then explored
+// ahead on the pool and retired in order; the sampled certifications
+// (paper checker, exact_event_limit = 0) read the unit's one RNG stream.
+constexpr std::size_t kSkewedItems = 12;
+
+UncertainDatabase MakeSkewedDb(std::uint64_t seed) {
+  Rng rng(seed);
+  const auto unit_draw = [&rng] {
+    return static_cast<double>(rng() >> 11) * 0x1.0p-53;
+  };
+  UncertainDatabase db;
+  for (int t = 0; t < 80; ++t) {
+    std::vector<Item> items{0};
+    for (std::size_t i = 1; i < kSkewedItems; ++i) {
+      if (unit_draw() < 0.65) items.push_back(static_cast<Item>(i));
+    }
+    db.Add(Itemset(items), 0.7 + 0.3 * unit_draw());
+  }
+  return db;
+}
+
+MiningRequest SkewedRequest(std::uint64_t seed) {
+  MiningRequest request;
+  request.params.min_sup = 20;
+  request.params.pfct = 0.6;
+  request.params.seed = seed;
+  request.params.exact_event_limit = 0;
+  request.params.epsilon = 0.5;
+  request.params.delta = 0.3;
+  return request;
+}
+
+constexpr std::size_t kSkewedThreadCounts[] = {2, 3, 4, 8};
+
+class SkewedTreeDeterminismTest
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SkewedTreeDeterminismTest, MpfciIdenticalAcrossThreadCounts) {
+  const UncertainDatabase db = MakeSkewedDb(GetParam());
+  const MiningRequest request = SkewedRequest(GetParam());
+  const MiningResult one = MineWithThreads(db, request, 1);
+  ASSERT_FALSE(one.itemsets.empty());
+  EXPECT_GT(one.stats.sampled_fcp_computations, 0u);
+  // The shape this test is about: the kSkewedItems - 1 units rooted at
+  // items 1.. are one (pruned) node each; unit 0 holds >= 90 % of nodes.
+  EXPECT_EQ(one.stats.pruned_by_superset, kSkewedItems - 1);
+  EXPECT_GE(10 * (one.stats.nodes_visited - (kSkewedItems - 1)),
+            9 * one.stats.nodes_visited);
+  for (const std::size_t threads : kSkewedThreadCounts) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ExpectIdentical(one, MineWithThreads(db, request, threads));
+  }
+}
+
+TEST_P(SkewedTreeDeterminismTest, NodeBudgetIdenticalAcrossThreadCounts) {
+  const UncertainDatabase db = MakeSkewedDb(GetParam());
+  MiningRequest request = SkewedRequest(GetParam());
+  const MiningResult full = MineWithThreads(db, request, 1);
+  for (const std::uint64_t fraction : {4u, 2u}) {
+    request.budget.max_nodes = full.stats.nodes_visited / fraction;
+    const MiningResult baseline = MineWithThreads(db, request, 1);
+    EXPECT_EQ(baseline.outcome(), Outcome::kBudgetExhausted);
+    for (const std::size_t threads : kSkewedThreadCounts) {
+      SCOPED_TRACE("max_nodes=" + std::to_string(request.budget.max_nodes) +
+                   " threads=" + std::to_string(threads));
+      ExpectIdentical(baseline, MineWithThreads(db, request, threads));
+    }
+  }
+}
+
+TEST_P(SkewedTreeDeterminismTest, SampleBudgetIdenticalAcrossThreadCounts) {
+  const UncertainDatabase db = MakeSkewedDb(GetParam());
+  MiningRequest request = SkewedRequest(GetParam());
+  const MiningResult full = MineWithThreads(db, request, 1);
+  ASSERT_GT(full.stats.total_samples, 0u);
+  request.budget.max_samples = full.stats.total_samples / 2;
+  const MiningResult baseline = MineWithThreads(db, request, 1);
+  EXPECT_EQ(baseline.outcome(), Outcome::kBudgetExhausted);
+  EXPECT_LT(baseline.itemsets.size(), full.itemsets.size());
+  for (const std::size_t threads : kSkewedThreadCounts) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ExpectIdentical(baseline, MineWithThreads(db, request, threads));
+  }
+}
+
+TEST_P(SkewedTreeDeterminismTest, PreCancelledIdenticalAcrossThreadCounts) {
+  const UncertainDatabase db = MakeSkewedDb(GetParam());
+  CancelToken token;
+  token.RequestCancel();
+  MiningRequest request = SkewedRequest(GetParam());
+  request.cancel = &token;
+  const MiningResult baseline = MineWithThreads(db, request, 1);
+  EXPECT_EQ(baseline.outcome(), Outcome::kCancelled);
+  EXPECT_TRUE(baseline.itemsets.empty());
+  for (const std::size_t threads : kSkewedThreadCounts) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ExpectIdentical(baseline, MineWithThreads(db, request, threads));
+  }
+}
+
+TEST_P(SkewedTreeDeterminismTest, TopKIdenticalAcrossThreadCounts) {
+  // Top-k walks the same DFS with its rising floor and no look-ahead.
+  const UncertainDatabase db = MakeSkewedDb(GetParam());
+  MiningRequest request = SkewedRequest(GetParam());
+  request.algorithm = Algorithm::kTopK;
+  request.top_k = 8;
+  request.params.pfct = 0.0;
+  const MiningResult one = MineWithThreads(db, request, 1);
+  ASSERT_EQ(one.itemsets.size(), 8u);
+  for (const std::size_t threads : kSkewedThreadCounts) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ExpectIdentical(one, MineWithThreads(db, request, threads));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SkewedTreeDeterminismTest,
                          ::testing::Values(1u, 7u, 42u));
 
 TEST(ParallelDeterminism, BruteForceIdenticalAcrossThreadCounts) {

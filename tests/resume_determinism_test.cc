@@ -11,6 +11,8 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -22,6 +24,7 @@
 #include "src/datagen/probability_assigner.h"
 #include "src/datagen/quest_generator.h"
 #include "src/harness/dataset_factory.h"
+#include "src/util/random.h"
 #include "src/util/runtime.h"
 
 namespace pfci {
@@ -318,6 +321,122 @@ TEST(ResumeDeterminism, MismatchedResumesAreRefused) {
   nondet.snapshot.resume_path.clear();
   nondet.snapshot.save_path = path;
   EXPECT_EQ(Mine(db, nondet).outcome(), Outcome::kInvalidRequest);
+}
+
+/// Item 0 in every transaction: every first-level unit but item 0's is
+/// superset-pruned at its root, so one unit holds almost the whole tree
+/// (the shape the parallel look-ahead explores ahead).
+UncertainDatabase MakeSkewedDb(std::uint64_t seed) {
+  Rng rng(seed);
+  const auto unit_draw = [&rng] {
+    return static_cast<double>(rng() >> 11) * 0x1.0p-53;
+  };
+  UncertainDatabase db;
+  for (int t = 0; t < 80; ++t) {
+    std::vector<Item> items{0};
+    for (Item i = 1; i < 12; ++i) {
+      if (unit_draw() < 0.65) items.push_back(i);
+    }
+    db.Add(Itemset(items), 0.7 + 0.3 * unit_draw());
+  }
+  return db;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream file(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(file), {});
+}
+
+void WriteFile(const std::string& path, const std::string& text) {
+  std::ofstream file(path, std::ios::binary | std::ios::trunc);
+  file << text;
+}
+
+TEST(ResumeDeterminism, EveryFlippedByteIsRefusedOrResumesIdentically) {
+  // The v2 checksum covers every byte before its line, so a corrupted
+  // snapshot never resumes into a silently different answer.
+  const UncertainDatabase db = MakeSkewedDb(1);
+  MiningRequest base;
+  base.params.min_sup = 20;
+  base.params.pfct = 0.6;
+  base.params.seed = 5;
+  base.params.exact_event_limit = 0;
+  base.params.epsilon = 0.5;
+  base.params.delta = 0.3;
+  base.execution.num_threads = 4;
+  const MiningResult full = Mine(db, base);
+  ASSERT_EQ(full.outcome(), Outcome::kComplete);
+  ASSERT_GT(full.stats.sampled_fcp_computations, 0u);
+
+  const std::string path = TempPath("flip");
+  const std::string mutated_path = TempPath("flip_mutated");
+  PathCleaner cleaner{path};
+  PathCleaner mutated_cleaner{mutated_path};
+  MiningRequest suspending = base;
+  suspending.budget.max_nodes = full.stats.nodes_visited / 2;
+  suspending.snapshot.save_path = path;
+  ASSERT_EQ(Mine(db, suspending).outcome(), Outcome::kBudgetExhausted);
+  const std::string text = ReadFile(path);
+  ASSERT_GT(text.size(), 100u);
+
+  MiningRequest resuming = base;
+  resuming.snapshot.resume_path = mutated_path;
+  std::size_t refused = 0;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    std::string mutated = text;
+    mutated[i] = static_cast<char>(mutated[i] ^ 0x01);
+    RunSnapshot parsed;
+    std::string error;
+    if (!ParseRunSnapshot(mutated, &parsed, &error)) {
+      EXPECT_NE(error.find("(line "), std::string::npos) << error;
+      ++refused;
+      continue;
+    }
+    WriteFile(mutated_path, mutated);
+    ExpectBitIdentical(full, Mine(db, resuming),
+                       "byte " + std::to_string(i) + " accepted");
+  }
+  // Only a flip that keeps every covered byte (the final newline turning
+  // into other trailing whitespace) may parse.
+  EXPECT_GE(refused + 1, text.size());
+
+  // Through Mine(): a corrupted file is an invalid request naming the
+  // checksum; the intact one resumes bit-identically.
+  std::string corrupt = text;
+  corrupt[text.size() / 2] = static_cast<char>(corrupt[text.size() / 2] ^ 0x01);
+  WriteFile(mutated_path, corrupt);
+  const MiningResult refused_run = Mine(db, resuming);
+  EXPECT_EQ(refused_run.outcome(), Outcome::kInvalidRequest);
+  EXPECT_NE(refused_run.status_message.find("checksum"), std::string::npos)
+      << refused_run.status_message;
+  WriteFile(mutated_path, text);
+  ExpectBitIdentical(full, Mine(db, resuming), "intact");
+}
+
+TEST(ResumeDeterminism, VersionOneSnapshotsAreRefusedByLine) {
+  RunSnapshot snapshot;
+  snapshot.algorithm = "mpfci";
+  snapshot.has_frontier = true;
+  const std::string v2 = SerializeRunSnapshot(snapshot);
+  // The same body in the v1 layout: v1 header and end marker, no
+  // checksum line.
+  std::string v1 = v2.substr(0, v2.rfind("checksum "));
+  for (const char* marker : {"pfci-snapshot v2"}) {
+    std::size_t at;
+    while ((at = v1.find(marker)) != std::string::npos) {
+      v1[at + std::string(marker).size() - 1] = '1';
+    }
+  }
+  RunSnapshot parsed;
+  std::string error;
+  ASSERT_TRUE(ParseRunSnapshot(v2, &parsed, &error)) << error;
+  EXPECT_FALSE(ParseRunSnapshot(v1, &parsed, &error));
+  EXPECT_NE(error.find("(line 1)"), std::string::npos) << error;
+  EXPECT_NE(error.find("v1"), std::string::npos) << error;
+  // A v2 file without its checksum line is torn, refused at its last line.
+  const std::string unsummed = v2.substr(0, v2.rfind("checksum "));
+  EXPECT_FALSE(ParseRunSnapshot(unsummed, &parsed, &error));
+  EXPECT_NE(error.find("checksum"), std::string::npos) << error;
 }
 
 TEST(ResumeDeterminism, BoundaryProbabilitiesRoundTripBitExactly) {
